@@ -505,9 +505,8 @@ def entry(name: str) -> CatalogEntry:
         raise DomainError(f"unknown distribution name {name!r}") from None
 
 
-def named(name: str, **args) -> IFParams:
-    """Family parameters of a named special case, validating its constraints."""
-    e = entry(name)
+def _checked_args(e: CatalogEntry, args: dict) -> dict[str, float]:
+    """The arguments of entry e as floats, after checking names and constraints."""
     expected = [pname for pname, _ in e.free_parameters]
     missing = [pn for pn in expected if pn not in args]
     extra = [k for k in args if k not in expected]
@@ -517,13 +516,19 @@ def named(name: str, **args) -> IFParams:
             bits.append(f"missing {', '.join(missing)}")
         if extra:
             bits.append(f"unexpected {', '.join(extra)}")
-        raise DomainError(f"{name} takes ({', '.join(expected)}): "
+        raise DomainError(f"{e.name} takes ({', '.join(expected)}): "
                           + "; ".join(bits))
     clean = {k: float(v) for k, v in args.items()}
     problems = e.check(**clean)
     if problems:
-        raise DomainError(f"{name}: " + "; ".join(problems))
-    return e.to_if(**clean)
+        raise DomainError(f"{e.name}: " + "; ".join(problems))
+    return clean
+
+
+def named(name: str, **args) -> IFParams:
+    """Family parameters of a named special case, validating its constraints."""
+    e = entry(name)
+    return e.to_if(**_checked_args(e, args))
 
 
 def resolve(params: IFParams) -> list[str]:
@@ -540,16 +545,7 @@ def table1_mean(name: str, **args) -> MomentResult:
     e = entry(name)
     if e.mean_fn is None:
         raise DomainError(f"{name} has no tabled mean expression")
-    expected = [pname for pname, _ in e.free_parameters]
-    missing = [pn for pn in expected if pn not in args]
-    extra = [k for k in args if k not in expected]
-    if missing or extra:
-        raise DomainError(f"{name} mean takes ({', '.join(expected)})")
-    clean = {k: float(v) for k, v in args.items()}
-    problems = e.check(**clean)
-    if problems:
-        raise DomainError(f"{name}: " + "; ".join(problems))
-    return e.mean_fn(**clean)
+    return e.mean_fn(**_checked_args(e, args))
 
 
 def records() -> list[dict]:

@@ -102,6 +102,20 @@ def _read_params_file(path: str) -> dict[str, float]:
     return out
 
 
+def _raw_values(ns, base: dict[str, float]) -> dict[str, float]:
+    """The raw parameters: base, then the --params file, then the flags."""
+    values = dict(base)
+    if ns.params is not None:
+        values.update(_read_params_file(ns.params))
+    if ns.p is not None:
+        values["p"] = _parse_p(ns.p)
+    for key in ("b", "c", "q", "x0"):
+        val = getattr(ns, key)
+        if val is not None:
+            values[key] = val
+    return values
+
+
 def _build_params(ns) -> IFParams:
     if ns.dist is not None:
         if ns.params is not None:
@@ -122,15 +136,7 @@ def _build_params(ns) -> IFParams:
                 raise _UsageError(f"--{key} is not a parameter of {ns.dist}")
         return cat.named(ns.dist, **provided)
 
-    values: dict[str, float] = {}
-    if ns.params is not None:
-        values.update(_read_params_file(ns.params))
-    if ns.p is not None:
-        values["p"] = _parse_p(ns.p)
-    for key in ("b", "c", "q", "x0"):
-        val = getattr(ns, key)
-        if val is not None:
-            values[key] = val
+    values = _raw_values(ns, {})
     missing = [k for k in _RAW_KEYS if k not in values]
     if missing:
         raise _UsageError("missing parameter flags: "
@@ -246,16 +252,7 @@ def _curve_base(ns) -> dict[str, float]:
     if ns.dist is not None:
         pa = _build_params(ns)
         return {"p": pa.p, "b": pa.b, "c": pa.c, "q": pa.q, "x0": pa.x0}
-    base = dict(_CURVE_BASE)
-    if ns.params is not None:
-        base.update(_read_params_file(ns.params))
-    if ns.p is not None:
-        base["p"] = _parse_p(ns.p)
-    for key in ("b", "c", "q", "x0"):
-        val = getattr(ns, key)
-        if val is not None:
-            base[key] = val
-    return base
+    return _raw_values(ns, _CURVE_BASE)
 
 
 def _cmd_curve(ns) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,29 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_TINY = np.finfo(float).tiny  # smallest normal double
+
+
+def _is_real(v) -> bool:
+    # bools are ints to Python; testing float and int first spares the slow
+    # ABC check for the common cases
+    return not isinstance(v, bool) and (isinstance(v, (float, int))
+                                        or isinstance(v, numbers.Real))
+
+
+def _first_float(out: np.ndarray) -> float:
+    return float(out[0])
+
+
+def _coerce(x):
+    """The scalar/array contract of every distribution function.
+
+    Returns x as a float array of at least one dimension, and the function
+    that turns a result of that shape back into the caller's form: a Python
+    float for a scalar or 0-d input, the array itself otherwise.
+    """
+    xs = np.asarray(x, dtype=float)
+    return np.atleast_1d(xs), (_first_float if xs.ndim == 0 else np.asarray)
 
 
 @dataclass(frozen=True)
@@ -54,6 +78,11 @@ class IFParams:
     x0: float
 
     def violations(self) -> list[str]:
+        vals = (self.p, self.b, self.c, self.q, self.x0)
+        if not all(map(_is_real, vals)):
+            return [f"{name} must be a real number, got {v!r}"
+                    for name, v in zip(("p", "b", "c", "q", "x0"), vals)
+                    if not _is_real(v)]
         out = []
         if math.isnan(self.p) or self.p < 0:
             out.append("p must be a nonnegative real or inf")
@@ -93,9 +122,7 @@ def p_exponential(p: float, x):
     """
     if math.isnan(p) or p < 0:
         raise DomainError("p must be a nonnegative real or inf")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
+    xs, unwrap = _coerce(x)
     if np.isnan(xs).any() or (xs < 0).any():
         raise DomainError("p_exponential requires x >= 0")
     if math.isinf(p):
@@ -108,24 +135,21 @@ def p_exponential(p: float, x):
         else:
             with np.errstate(divide="ignore"):
                 out = np.exp(p * np.log1p(-xs / (p + 1.0)))
-    return float(out[0]) if scalar else out
+    return unwrap(out)
 
 
 def g_big(params: IFParams, x):
     """G(x) = (p+1)^(-1/q) + ((x-x0)/c)^b, with the (p+1) term absent at
     p = inf.  For b < 0 the value at x = x0 is +inf."""
     d = IFDistribution(params)
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
+    xs, unwrap = _coerce(x)
     if (xs < params.x0).any():
         raise DomainError("g_big requires x >= x0")
     y = (xs - params.x0) / params.c
     with np.errstate(divide="ignore"):
         powered = np.power(y, params.b)
     k = 0.0 if math.isinf(params.p) else math.exp(d._ln_k)
-    out = k + powered
-    return float(out[0]) if scalar else out
+    return unwrap(k + powered)
 
 
 def new_distribution(params: IFParams) -> "IFDistribution":
@@ -240,18 +264,7 @@ class IFDistribution:
     def pdf(self, x):
         """Density, total on the reals: 0 below x0, the boundary limit at
         x0 (possibly +inf), strictly positive on (x0, inf)."""
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs).astype(float)
-        out = np.zeros(xs.shape)
-        y = (xs - self.x0) / self.c
-        interior = (y > 0) & np.isfinite(xs)
-        if interior.any():
-            with np.errstate(over="ignore"):
-                out[interior] = np.exp(self._interior_log_pdf(y[interior]))
-        out[xs == self.x0] = self._boundary
-        out[np.isnan(xs)] = np.nan
-        return float(out[0]) if scalar else out
+        return self.pdf_offset(np.asarray(x, dtype=float) - self.x0)
 
     def pdf_offset(self, delta):
         """pdf(x0 + delta) computed straight from the offset.
@@ -260,9 +273,7 @@ class IFDistribution:
         magnitude below x0; the workhorse for quadrature up against the
         support boundary.
         """
-        ds = np.asarray(delta, dtype=float)
-        scalar = ds.ndim == 0
-        ds = np.atleast_1d(ds).astype(float)
+        ds, unwrap = _coerce(delta)
         out = np.zeros(ds.shape)
         y = ds / self.c
         interior = (y > 0) & np.isfinite(ds)
@@ -271,32 +282,27 @@ class IFDistribution:
                 out[interior] = np.exp(self._interior_log_pdf(y[interior]))
         out[ds == 0.0] = self._boundary
         out[np.isnan(ds)] = np.nan
-        return float(out[0]) if scalar else out
+        return unwrap(out)
 
     def log_pdf(self, x):
         """ln pdf on the open support x > x0; stays finite where pdf underflows."""
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs).astype(float)
+        xs, unwrap = _coerce(x)
         y = (xs - self.x0) / self.c
         if not (y > 0).all():
             raise DomainError("log_pdf requires x > x0")
-        out = self._interior_log_pdf(y)
-        return float(out[0]) if scalar else out
+        return unwrap(self._interior_log_pdf(y))
 
     def log_pdf_offset(self, delta):
         """log_pdf(x0 + delta) straight from the offset; requires delta > 0."""
-        ds = np.asarray(delta, dtype=float)
-        scalar = ds.ndim == 0
-        ds = np.atleast_1d(ds).astype(float)
+        ds, unwrap = _coerce(delta)
         if not (ds > 0).all():
             raise DomainError("log_pdf_offset requires delta > 0")
         with np.errstate(over="ignore"):  # delta/c may exceed the float range
-            out = self._interior_log_pdf(ds / self.c)
-        return float(out[0]) if scalar else out
+            return unwrap(self._interior_log_pdf(ds / self.c))
 
     def _ln_sf_plus(self, y: np.ndarray) -> np.ndarray:
-        """ln of (1 - w)^(p+1) (the b > 0 survival), i.e. (p+1) ln(1-w)."""
+        """ln of (1 - w)^(p+1), i.e. (p+1) ln(1-w): the cdf for b > 0 and
+        the survival for b < 0."""
         ln_y = self._ln_y(y)
         if self._inf_p:
             with np.errstate(over="ignore"):
@@ -304,67 +310,61 @@ class IFDistribution:
         ln_g = self._ln_g(ln_y)
         return (self.p + 1.0) * self._ln_one_minus_exp(self._ln_w(ln_g))
 
-    def cdf(self, x):
-        """Distribution function; 0 at and below x0, 1 in the limit."""
-        xs = np.asarray(x, dtype=float)
-        return self.cdf_offset(xs - self.x0)
-
-    def cdf_offset(self, delta):
-        """cdf(x0 + delta) straight from the offset (no x0 cancellation)."""
-        ds = np.asarray(delta, dtype=float)
-        scalar = ds.ndim == 0
-        ds = np.atleast_1d(ds).astype(float)
-        out = np.zeros(ds.shape)
+    def _tail_offset(self, delta, lower: bool):
+        """cdf (lower) or survival at the offsets delta, each from its own
+        branch."""
+        ds, unwrap = _coerce(delta)
+        out = np.zeros(ds.shape) if lower else np.ones(ds.shape)
         y = ds / self.c
         pos = y > 0
         if pos.any():
             ln_plus = self._ln_sf_plus(y[pos])
-            if self.b > 0:
+            if (self.b > 0) == lower:
                 out[pos] = np.exp(ln_plus)
             else:
                 out[pos] = -np.expm1(ln_plus)
         out[np.isnan(ds)] = np.nan
-        return float(out[0]) if scalar else out
+        return unwrap(out)
+
+    def cdf(self, x):
+        """Distribution function; 0 at and below x0, 1 in the limit."""
+        return self.cdf_offset(np.asarray(x, dtype=float) - self.x0)
+
+    def cdf_offset(self, delta):
+        """cdf(x0 + delta) straight from the offset (no x0 cancellation)."""
+        return self._tail_offset(delta, lower=True)
 
     def survival(self, x):
         """1 - cdf computed from the complementary branch directly, so deep
         tail values keep relative accuracy (no 1.0 - ... subtraction)."""
-        xs = np.asarray(x, dtype=float)
-        return self.sf_offset(xs - self.x0)
+        return self.sf_offset(np.asarray(x, dtype=float) - self.x0)
 
     def sf_offset(self, delta):
         """survival(x0 + delta) straight from the offset."""
-        ds = np.asarray(delta, dtype=float)
-        scalar = ds.ndim == 0
-        ds = np.atleast_1d(ds).astype(float)
-        out = np.ones(ds.shape)
-        y = ds / self.c
-        pos = y > 0
-        if pos.any():
-            ln_plus = self._ln_sf_plus(y[pos])
-            if self.b > 0:
-                out[pos] = -np.expm1(ln_plus)
-            else:
-                out[pos] = np.exp(ln_plus)
-        out[np.isnan(ds)] = np.nan
-        return float(out[0]) if scalar else out
+        return self._tail_offset(delta, lower=False)
 
     sf = survival
 
     def hazard(self, x):
         """pdf / survival, from the explicit branch for each sign of b."""
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs).astype(float)
+        xs, unwrap = _coerce(x)
         y = (xs - self.x0) / self.c
         if not (y > 0).all():
             raise DomainError("hazard requires x > x0")
         ln_y = self._ln_y(y)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if self.b > 0:
                 ln_num = self._interior_log_pdf(y)
+                num = np.exp(ln_num)
                 den = -np.expm1(self._ln_sf_plus(y))
-                out = np.exp(ln_num) / den
+                out = num / den
+                # far out, pdf or survival leaves the normal doubles; the
+                # survival is G^(-q) = (p+1) w there, to double precision
+                far = (num < _TINY) | (den < _TINY)
+                if far.any():
+                    ln_den = np.where(den < _TINY, -self.q * self._ln_g(ln_y),
+                                      np.log(den))
+                    out[far] = np.exp(ln_num[far] - ln_den[far])
             elif self._inf_p:
                 out = np.exp(self._ln_coef + (-self.b * self.q - 1.0) * ln_y)
             else:
@@ -372,7 +372,7 @@ class IFDistribution:
                 ln1mw = self._ln_one_minus_exp(self._ln_w(ln_g))
                 out = np.exp(self._ln_coef + (self.b - 1.0) * ln_y
                              - (self.q + 1.0) * ln_g - ln1mw)
-        return float(out[0]) if scalar else out
+        return unwrap(out)
 
     def _quantile_plus_offset(self, ln_y: np.ndarray,
                               ln_1my: np.ndarray) -> np.ndarray:
@@ -395,9 +395,7 @@ class IFDistribution:
     def quantile_offset(self, y):
         """quantile(y) - x0 without forming x, so offsets far below the
         floating-point resolution of x0 survive."""
-        ys = np.asarray(y, dtype=float)
-        scalar = ys.ndim == 0
-        ys = np.atleast_1d(ys).astype(float)
+        ys, unwrap = _coerce(y)
         if np.isnan(ys).any() or (ys < 0).any() or (ys > 1).any():
             raise DomainError("quantile requires y in [0, 1]")
         out = np.empty(ys.shape)
@@ -413,13 +411,13 @@ class IFDistribution:
                     out[mid] = self._quantile_plus_offset(ln_y, ln_1my)
                 else:
                     out[mid] = self._quantile_plus_offset(ln_1my, ln_y)
-        return float(out[0]) if scalar else out
+        return unwrap(out)
 
     def quantile(self, y):
         """Inverse cdf on [0, 1]; strictly increasing on (0, 1), with
         quantile(0) = x0 and quantile(1) = +inf."""
-        out = self.x0 + np.asarray(self.quantile_offset(y))
-        return float(out[()]) if out.ndim == 0 else out
+        ys, unwrap = _coerce(y)
+        return unwrap(self.x0 + self.quantile_offset(ys))
 
     def median(self) -> float:
         """Closed-form median; identical for either sign of b."""

@@ -112,13 +112,16 @@ def _residual_factory(params: IFParams):
     return residual
 
 
-def _t_grid() -> np.ndarray:
-    # logarithmic half-grids in t and in 1-t: the residual varies fastest
-    # near t = 0, while small-p roots crowd toward t = 1
-    n = _GRID_POINTS // 2
-    low = np.exp(np.linspace(math.log(_GRID_EPS), math.log(0.5), n))
-    high = 1.0 - np.exp(np.linspace(math.log(0.5), math.log(_GRID_EPS), n))
-    return np.unique(np.concatenate([low, high]))
+# logarithmic half-grids in t and in 1-t, built once: the residual varies
+# fastest near t = 0, while small-p roots crowd toward t = 1.  Sorted with
+# repeats dropped, as np.unique would, without the numpy.ma import that
+# np.unique's first call costs
+_T_GRID = np.sort(np.concatenate([
+    np.exp(np.linspace(math.log(_GRID_EPS), math.log(0.5), _GRID_POINTS // 2)),
+    1.0 - np.exp(np.linspace(math.log(0.5), math.log(_GRID_EPS), _GRID_POINTS // 2)),
+]))
+_T_GRID = _T_GRID[np.append(True, _T_GRID[1:] != _T_GRID[:-1])]
+_T_GRID.flags.writeable = False
 
 
 def solve_mode_equation(params: IFParams, tol: float = 1e-14) -> list[float]:
@@ -127,18 +130,12 @@ def solve_mode_equation(params: IFParams, tol: float = 1e-14) -> list[float]:
     if math.isinf(params.p):
         raise DomainError("the stationarity equation in t requires finite p")
     residual = _residual_factory(params)
-    ts = _t_grid()
+    ts = _T_GRID
     vals = residual(ts)
-    roots: list[float] = []
-    for i in range(len(ts) - 1):
-        a, bnd = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(ts[i]))
-        elif a * bnd < 0.0:
-            roots.append(find_root(residual, Bracket(float(ts[i]), float(ts[i + 1])),
-                                   tol=tol))
-    if vals[-1] == 0.0:
-        roots.append(float(ts[-1]))
+    roots = [float(t) for t in ts[vals == 0.0]]
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        roots.append(find_root(residual, Bracket(float(ts[i]), float(ts[i + 1])),
+                               tol=tol))
     roots.sort()
     merged: list[float] = []
     for r in roots:

@@ -116,54 +116,36 @@ def _numeric_moment(params: IFParams, r: int) -> MomentResult:
     return MomentResult.numeric(res.value, res.abs_error_estimate)
 
 
-def _if1_raw(params: IFParams, r: int) -> float:
-    b, c, q, x0 = params.b, params.c, params.q, params.x0
-    total = 0.0
-    for i in range(r + 1):
-        total += (math.comb(r, i) * x0 ** i * c ** (r - i)
-                  * q * beta(q - (r - i) / b, 1.0 + (r - i) / b))
-    return total
-
-
-def _if3_raw(params: IFParams, r: int) -> float:
-    p, c, q, x0 = params.p, params.c, params.q, params.x0
-    m = p + 1.0
-    total = 0.0
-    for i in range(r + 1):
-        inner = 0.0
-        for k in range(r - i + 1):
-            inner += (math.comb(r - i, k) * (-1.0) ** k
-                      * beta(1.0 - (r - i - k) / q, m))
-        total += (math.comb(r, i) * x0 ** i * c ** (r - i)
-                  * m ** (1.0 - (r - i) / q) * inner)
-    return total
-
-
-def _if2_raw(params: IFParams, r: int) -> float:
-    b, c, q, x0 = params.b, params.c, params.q, params.x0
-    total = 0.0
-    for i in range(r + 1):
-        total += (math.comb(r, i) * x0 ** i * c ** (r - i)
-                  * math.exp(ln_gamma(1.0 - (r - i) / (b * q))))
-    return total
+def _standard_moment(params: IFParams, k: int) -> float:
+    """E[Y^k] with Y = (X - x0)/c, in closed form on the subfamilies."""
+    b, q = params.b, params.q
+    sub = classify(params)
+    if sub is Subfamily.IF1:
+        return q * beta(q - k / b, 1.0 + k / b)
+    if sub is Subfamily.IF2:
+        return math.exp(ln_gamma(1.0 - k / (b * q)))
+    m = params.p + 1.0
+    return m ** (1.0 - k / q) * sum(
+        math.comb(k, j) * (-1.0) ** j * beta(1.0 - (k - j) / q, m)
+        for j in range(k + 1))
 
 
 def raw_moment(params: IFParams, r) -> MomentResult:
-    """E[X^r] for positive integer r: closed form on the subfamilies,
-    quadrature elsewhere."""
+    """E[X^r] for positive integer r: the binomial expansion of (x0 + c Y)^r
+    over the standardised moments on the subfamilies, quadrature elsewhere."""
     r = _check_order(r)
     _dist(params)  # validate
     ok, condition = moment_exists(params, r)
     if not ok:
         return MomentResult.non_existent(condition)
-    sub = classify(params)
-    if sub is Subfamily.IF1:
-        return MomentResult.closed_form(_if1_raw(params, r))
-    if sub is Subfamily.IF3:
-        return MomentResult.closed_form(_if3_raw(params, r))
-    if sub is Subfamily.IF2:
-        return MomentResult.closed_form(_if2_raw(params, r))
-    return _numeric_moment(params, r)
+    if classify(params) is Subfamily.GENERAL:
+        return _numeric_moment(params, r)
+    x0, c = params.x0, params.c
+    total = 0.0
+    for i in range(r + 1):
+        total += (math.comb(r, i) * x0 ** i * c ** (r - i)
+                  * _standard_moment(params, r - i))
+    return MomentResult.closed_form(total)
 
 
 def mean(params: IFParams) -> MomentResult:
@@ -174,6 +156,8 @@ def mean(params: IFParams) -> MomentResult:
         return MomentResult.non_existent(condition)
     b, c, q, x0, p = params.b, params.c, params.q, params.x0, params.p
     sub = classify(params)
+    # the IF1 and IF3 forms stay written out: their rounding differs in the
+    # last bit from x0 + c E[Y]
     if sub is Subfamily.IF1:
         return MomentResult.closed_form(x0 + c * q * beta(q - 1.0 / b, 1.0 + 1.0 / b))
     if sub is Subfamily.IF3:
@@ -181,8 +165,7 @@ def mean(params: IFParams) -> MomentResult:
         val = x0 + c * m ** (1.0 - 1.0 / q) * (beta(1.0 - 1.0 / q, m) - 1.0 / m)
         return MomentResult.closed_form(val)
     if sub is Subfamily.IF2:
-        return MomentResult.closed_form(
-            x0 + c * math.exp(ln_gamma(1.0 - 1.0 / (b * q))))
+        return MomentResult.closed_form(x0 + c * _standard_moment(params, 1))
     return _numeric_moment(params, 1)
 
 
@@ -193,22 +176,19 @@ def variance(params: IFParams) -> MomentResult:
     ok, condition = moment_exists(params, 2)
     if not ok:
         return MomentResult.non_existent(condition)
-    b, c, q, p = params.b, params.c, params.q, params.p
+    c, q, p = params.c, params.q, params.p
     sub = classify(params)
-    if sub is Subfamily.IF1:
-        m1 = q * beta(q - 1.0 / b, 1.0 + 1.0 / b)
-        m2 = q * beta(q - 2.0 / b, 1.0 + 2.0 / b)
+    if sub is Subfamily.IF1 or sub is Subfamily.IF2:
+        m1 = _standard_moment(params, 1)
+        m2 = _standard_moment(params, 2)
         return MomentResult.closed_form(c * c * (m2 - m1 * m1))
     if sub is Subfamily.IF3:
+        # written out, like the IF3 mean, for its last-bit rounding
         m = p + 1.0
         b1 = beta(1.0 - 1.0 / q, m) - 1.0 / m
         b2 = (beta(1.0 - 2.0 / q, m) - 2.0 * beta(1.0 - 1.0 / q, m) + 1.0 / m)
         val = c * c * (m ** (1.0 - 2.0 / q) * b2 - m ** (2.0 - 2.0 / q) * b1 * b1)
         return MomentResult.closed_form(val)
-    if sub is Subfamily.IF2:
-        g1 = math.exp(ln_gamma(1.0 - 1.0 / (b * q)))
-        g2 = math.exp(ln_gamma(1.0 - 2.0 / (b * q)))
-        return MomentResult.closed_form(c * c * (g2 - g1 * g1))
     m1 = _numeric_moment(params, 1)
     m2 = _numeric_moment(params, 2)
     # heavy tails make this subtraction genuinely cancellation-prone

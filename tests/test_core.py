@@ -68,6 +68,16 @@ class TestValidation:
         with pytest.raises(DomainError, match=msg):
             new_distribution(params)
 
+    @pytest.mark.parametrize("bad", [True, False, "2", None, 1j])
+    def test_non_real_values_rejected(self, bad):
+        # bools are ints to Python and strings used to escape as TypeError
+        with pytest.raises(DomainError, match="b must be a real number"):
+            dist(1.0, bad, 1.0, 2.0, 0.0)
+
+    def test_int_and_numpy_values_accepted(self):
+        d = dist(1, np.float64(2.0), np.float32(1.0), 2, np.int64(0))
+        assert d.pdf(1.0) == dist(1.0, 2.0, 1.0, 2.0, 0.0).pdf(1.0)
+
     def test_all_violations_reported(self):
         with pytest.raises(DomainError) as err:
             dist(-1.0, 0.0, -1.0, -1.0, -1.0)
@@ -252,6 +262,16 @@ class TestHazard:
             assert d.hazard(xs) * d.survival(xs) == pytest.approx(list(d.pdf(xs)),
                                                                   rel=1e-10)
 
+    @pytest.mark.parametrize("p", [0.5, INF])
+    def test_far_tail_follows_asymptote(self, p):
+        # b > 0: pdf and survival both leave the normal doubles out here,
+        # while their ratio tends to bq / (x - x0)
+        d = dist(p, 1.5, 1.0, 2.0, 0.0)
+        xs = np.array([1e100, 1e150, 1e170])
+        want = [3.0 / x for x in xs]
+        assert d.hazard(xs) == pytest.approx(want, rel=1e-12)
+        assert [d.hazard(float(x)) for x in xs] == pytest.approx(want, rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             new_distribution(EXPONENTIAL).hazard(0.0)
@@ -399,3 +419,47 @@ class TestDistributionInvariants:
         gap6 = np.max(np.abs(dist(1e6, -1.0, 1.0, 2.0, 0.0).pdf(xs) / di.pdf(xs) - 1))
         gap10 = np.max(np.abs(dist(1e10, -1.0, 1.0, 2.0, 0.0).pdf(xs) / di.pdf(xs) - 1))
         assert gap10 < gap6 / 50.0
+
+
+_CONTRACT = new_distribution(IFParams(1.0, 1.5, 2.0, 2.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "fn,v,nan_passes",
+    [
+        (lambda x: p_exponential(1.0, x), 0.7, False),
+        (lambda x: g_big(_CONTRACT.params, x), 1.7, True),
+        (_CONTRACT.pdf, 1.7, True),
+        (_CONTRACT.pdf_offset, 1.2, True),
+        (_CONTRACT.log_pdf, 1.7, False),
+        (_CONTRACT.log_pdf_offset, 1.2, False),
+        (_CONTRACT.cdf, 1.7, True),
+        (_CONTRACT.cdf_offset, 1.2, True),
+        (_CONTRACT.survival, 1.7, True),
+        (_CONTRACT.sf_offset, 1.2, True),
+        (_CONTRACT.hazard, 1.7, False),
+        (_CONTRACT.quantile, 0.3, False),
+        (_CONTRACT.quantile_offset, 0.3, False),
+    ],
+    ids=["p_exponential", "g_big", "pdf", "pdf_offset", "log_pdf",
+         "log_pdf_offset", "cdf", "cdf_offset", "survival", "sf_offset",
+         "hazard", "quantile", "quantile_offset"],
+)
+def test_scalar_array_contract(fn, v, nan_passes):
+    s = fn(v)
+    assert type(s) is float
+    zero_d = fn(np.array(v))
+    assert type(zero_d) is float and zero_d == s
+    out = fn([v, v, v])
+    assert isinstance(out, np.ndarray) and out.shape == (3,)
+    assert (out == s).all()
+    grid = fn(np.full((2, 3), v))
+    assert isinstance(grid, np.ndarray) and grid.shape == (2, 3)
+    assert (grid == s).all()
+    if nan_passes:
+        assert math.isnan(fn(math.nan))
+        mixed = fn([v, math.nan])
+        assert mixed[0] == s and math.isnan(mixed[1])
+    else:
+        with pytest.raises(DomainError):
+            fn(math.nan)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ifdist import DomainError, IFDistribution, IFParams, maximize_scalar
+from ifdist import (Bracket, DomainError, IFDistribution, IFParams, find_root,
+                    maximize_scalar, modes)
 from ifdist.modes import (
     MODE_ASYMPTOTE,
     MODE_AT_BOUNDARY,
@@ -102,6 +103,30 @@ class TestSolveModeEquation:
     def test_requires_finite_p(self):
         with pytest.raises(DomainError):
             solve_mode_equation(IFParams(INF, 1.0, 1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("p", [1e-3, 0.7, 40.0, 1e4])
+    @pytest.mark.parametrize("b", [-3.0, -0.4, 0.3, 1.6, 4.0])
+    @pytest.mark.parametrize("q", [0.5, 3.0])
+    def test_vector_scan_matches_loop_scan(self, p, b, q):
+        # reference: the grid scanned pair by pair in Python
+        pa = IFParams(p, b, 1.0, q, 0.0)
+        residual = modes._residual_factory(pa)
+        ts = modes._T_GRID
+        vals = residual(ts)
+        roots = []
+        for i in range(len(ts) - 1):
+            if vals[i] == 0.0:
+                roots.append(float(ts[i]))
+            elif vals[i] * vals[i + 1] < 0.0:
+                roots.append(find_root(residual, Bracket(float(ts[i]), float(ts[i + 1])),
+                                       tol=1e-14))
+        if vals[-1] == 0.0:
+            roots.append(float(ts[-1]))
+        want = []
+        for r in sorted(roots):
+            if not want or abs(r - want[-1]) > 1e-9 * max(1.0, abs(r)):
+                want.append(r)
+        assert solve_mode_equation(pa) == want
 
 
 class TestMode:
