@@ -43,98 +43,111 @@ def _gamma(x: float) -> float:
     return math.exp(ln_gamma(x))
 
 
+# The six forms a constraint text of free_parameters takes ("{}" stands
+# for the parameter), each with the test it states and the message a
+# violation prints.
+_CONSTRAINT_FORMS: dict[str, tuple[Callable[[float], bool], str]] = {
+    "{} > 0": (lambda v: v > 0, "must be positive"),
+    "{} >= 0": (lambda v: v >= 0, "must be nonnegative"),
+    "{} != 0": (lambda v: v != 0, "must be nonzero"),
+    "{} < 0": (lambda v: v < 0, "must be negative"),
+    "{} > 1": (lambda v: v > 1, "must exceed 1"),
+    "0 < {} < inf": (lambda v: 0 < v < INF, "must be in (0, inf)"),
+}
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A named special case: free parameters with constraint texts, and a map
+    onto (p, b, c, q, x0).  check() reads the texts, matches() the map, or
+    `membership` where the arguments (gamma, m) cannot be read from a point."""
+
     name: str
-    # ordered (parameter, constraint description); constraint '' means free
     free_parameters: tuple[tuple[str, str], ...]
     map_text: str              # the (p, b, c, q, x0) image, human readable
     to_if: Callable[..., IFParams]
-    check: Callable[..., list[str]]        # constraint violations for args
-    matches: Callable[[IFParams], bool]    # exact membership of IF points
     tree_parent: str | None = None
     mean_text: str | None = None           # printed mean formula, if tabled
     mean_constraint: str | None = None
     mean_fn: Callable[..., MomentResult] | None = field(default=None, repr=False)
     in_mean_table: bool = False
+    membership: Callable[[IFParams], bool] | None = field(default=None, repr=False)
 
     @property
     def arity(self) -> int:
         return len(self.free_parameters)
 
-
-def _positive(name):
-    return lambda v: [] if v > 0 else [f"{name} must be positive"]
-
-
-def _nonneg(name):
-    return lambda v: [] if v >= 0 else [f"{name} must be nonnegative"]
-
-
-def _mk_check(**per_param):
-    def check(**args):
+    def check(self, **args) -> list[str]:
+        """Constraint violations of args, in parameter order."""
         out = []
-        for pname, fn in per_param.items():
-            out.extend(fn(args[pname]))
+        for pname, text in self.free_parameters:
+            test, message = _CONSTRAINT_FORMS[text.replace(pname, "{}", 1)]
+            if not test(args[pname]):
+                out.append(f"{pname} {message}")
         return out
-    return check
+
+    def matches(self, pa: IFParams) -> bool:
+        """Whether pa's own values pass check() and map back onto pa exactly."""
+        if self.membership is not None:
+            return self.membership(pa)
+        args = {pname: getattr(pa, pname) for pname, _ in self.free_parameters}
+        return not self.check(**args) and self.to_if(**args) == pa
+
+    def record(self) -> dict:
+        """The machine-readable listing of this entry."""
+        return {
+            "name": self.name,
+            "arity": self.arity,
+            "parameters": ",".join(pname for pname, _ in self.free_parameters),
+            "constraints": "; ".join(text for _, text in self.free_parameters),
+            "if_map": self.map_text,
+            "tree_parent": self.tree_parent or "",
+            "mean": self.mean_text or "",
+            "mean_constraint": self.mean_constraint or "",
+        }
 
 
-def _mean_cf(value: float) -> MomentResult:
-    return MomentResult.closed_form(value)
+_mean_cf = MomentResult.closed_form
 
 
 _NOT_DEFINED = MomentResult.non_existent("requires r < bq")
 
 
-def _entries() -> list[CatalogEntry]:
-    es: list[CatalogEntry] = []
-
+_ENTRIES = [
     # ---- four-parameter subfamilies -------------------------------------
-    es.append(CatalogEntry(
+    CatalogEntry(
         name="if1",
         free_parameters=(("b", "b != 0"), ("c", "c > 0"), ("q", "q > 0"),
                          ("x0", "x0 >= 0")),
         map_text="(0, b, c, q, x0)",
         to_if=lambda b, c, q, x0: IFParams(0.0, b, c, q, x0),
-        check=_mk_check(b=lambda v: [] if v != 0 else ["b must be nonzero"],
-                        c=_positive("c"), q=_positive("q"), x0=_nonneg("x0")),
-        matches=lambda pa: pa.p == 0.0,
         tree_parent="if",
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="if2",
         free_parameters=(("b", "b != 0"), ("c", "c > 0"), ("q", "q > 0"),
                          ("x0", "x0 >= 0")),
         map_text="(inf, b, c, q, x0)",
         to_if=lambda b, c, q, x0: IFParams(INF, b, c, q, x0),
-        check=_mk_check(b=lambda v: [] if v != 0 else ["b must be nonzero"],
-                        c=_positive("c"), q=_positive("q"), x0=_nonneg("x0")),
-        matches=lambda pa: math.isinf(pa.p),
         tree_parent="if",
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="if3",
         free_parameters=(("p", "0 < p < inf"), ("c", "c > 0"), ("q", "q > 0"),
                          ("x0", "x0 >= 0")),
         map_text="(p, 1, c, q, x0)",
         to_if=lambda p, c, q, x0: IFParams(p, 1.0, c, q, x0),
-        check=_mk_check(p=lambda v: [] if 0 < v < INF else ["p must be in (0, inf)"],
-                        c=_positive("c"), q=_positive("q"), x0=_nonneg("x0")),
-        matches=lambda pa: 0.0 < pa.p < INF and pa.b == 1.0,
         tree_parent="if",
-    ))
+    ),
 
     # ---- power-law members (p = 0) ---------------------------------------
-    es.append(CatalogEntry(
+    CatalogEntry(
         name="pareto_iv",
         free_parameters=(("gamma", "gamma > 0"), ("c", "c > 0"), ("q", "q > 0"),
                          ("x0", "x0 >= 0")),
         map_text="(0, 1/gamma, c, q, x0)",
         to_if=lambda gamma, c, q, x0: IFParams(0.0, 1.0 / gamma, c, q, x0),
-        check=_mk_check(gamma=_positive("gamma"), c=_positive("c"),
-                        q=_positive("q"), x0=_nonneg("x0")),
-        matches=lambda pa: pa.p == 0.0 and pa.b > 0,
+        membership=lambda pa: pa.p == 0.0 and pa.b > 0,
         tree_parent="if1",
         mean_text="x0 + c q B(q - gamma, 1 + gamma)",
         mean_constraint="gamma < q",
@@ -142,60 +155,50 @@ def _entries() -> list[CatalogEntry]:
             _mean_cf(x0 + c * q * beta(q - gamma, 1.0 + gamma))
             if gamma < q else _NOT_DEFINED),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="lindsay_burr_iii",
         free_parameters=(("b", "b < 0"), ("c", "c > 0"), ("q", "q > 0"),
                          ("x0", "x0 >= 0")),
         map_text="(0, b, c, q, x0)",
         to_if=lambda b, c, q, x0: IFParams(0.0, b, c, q, x0),
-        check=_mk_check(b=lambda v: [] if v < 0 else ["b must be negative"],
-                        c=_positive("c"), q=_positive("q"), x0=_nonneg("x0")),
-        matches=lambda pa: pa.p == 0.0 and pa.b < 0,
         mean_text="x0 + c q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b < -1",
         mean_fn=lambda b, c, q, x0: (
             _mean_cf(x0 + c * q * beta(q - 1.0 / b, 1.0 + 1.0 / b))
             if b < -1 else MomentResult.non_existent("requires r < -b(p+1)")),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="dagum",
         free_parameters=(("b", "b < 0"), ("c", "c > 0"), ("q", "q > 0")),
         map_text="(0, b, c, q, 0)",
         to_if=lambda b, c, q: IFParams(0.0, b, c, q, 0.0),
-        check=_mk_check(b=lambda v: [] if v < 0 else ["b must be negative"],
-                        c=_positive("c"), q=_positive("q")),
-        matches=lambda pa: pa.p == 0.0 and pa.b < 0 and pa.x0 == 0.0,
         mean_text="c q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b < -1",
         mean_fn=lambda b, c, q: (
             _mean_cf(c * q * beta(q - 1.0 / b, 1.0 + 1.0 / b))
             if b < -1 else MomentResult.non_existent("requires r < -b(p+1)")),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="pareto_ii",
         free_parameters=(("c", "c > 0"), ("q", "q > 0"), ("x0", "x0 >= 0")),
         map_text="(0, 1, c, q, x0)",
         to_if=lambda c, q, x0: IFParams(0.0, 1.0, c, q, x0),
-        check=_mk_check(c=_positive("c"), q=_positive("q"), x0=_nonneg("x0")),
-        matches=lambda pa: pa.p == 0.0 and pa.b == 1.0,
         tree_parent="if1",
         mean_text="x0 + c / (q - 1)",
         mean_constraint="q > 1",
         mean_fn=lambda c, q, x0: (_mean_cf(x0 + c / (q - 1.0))
                                   if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="pareto_iii",
         free_parameters=(("gamma", "gamma > 0"), ("c", "c > 0"), ("x0", "x0 >= 0")),
         map_text="(0, 1/gamma, c, 1, x0)",
         to_if=lambda gamma, c, x0: IFParams(0.0, 1.0 / gamma, c, 1.0, x0),
-        check=_mk_check(gamma=_positive("gamma"), c=_positive("c"),
-                        x0=_nonneg("x0")),
-        matches=lambda pa: pa.p == 0.0 and pa.b > 0 and pa.q == 1.0,
+        membership=lambda pa: pa.p == 0.0 and pa.b > 0 and pa.q == 1.0,
         tree_parent="if1",
         mean_text="x0 + c Gamma(1 - gamma) Gamma(1 + gamma)",
         mean_constraint="gamma < 1",
@@ -203,14 +206,12 @@ def _entries() -> list[CatalogEntry]:
             _mean_cf(x0 + c * _gamma(1.0 - gamma) * _gamma(1.0 + gamma))
             if gamma < 1 else _NOT_DEFINED),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="tadikamalla_burr_xii",
         free_parameters=(("b", "b > 0"), ("c", "c > 0"), ("q", "q > 0")),
         map_text="(0, b, c, q, 0)",
         to_if=lambda b, c, q: IFParams(0.0, b, c, q, 0.0),
-        check=_mk_check(b=_positive("b"), c=_positive("c"), q=_positive("q")),
-        matches=lambda pa: pa.p == 0.0 and pa.b > 0 and pa.x0 == 0.0,
         tree_parent="if1",
         mean_text="c q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b q > 1",
@@ -218,43 +219,35 @@ def _entries() -> list[CatalogEntry]:
             _mean_cf(c * q * beta(q - 1.0 / b, 1.0 + 1.0 / b))
             if b * q > 1 else _NOT_DEFINED),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="pareto_i",
         free_parameters=(("x0", "x0 > 0"), ("q", "q > 0")),
         map_text="(0, 1, x0, q, x0)",
         to_if=lambda x0, q: IFParams(0.0, 1.0, x0, q, x0),
-        check=_mk_check(x0=_positive("x0"), q=_positive("q")),
-        matches=lambda pa: (pa.p == 0.0 and pa.b == 1.0 and pa.x0 > 0
-                            and pa.c == pa.x0),
         tree_parent="pareto_ii",
         mean_text="q x0 / (q - 1)",
         mean_constraint="q > 1",
         mean_fn=lambda x0, q: (_mean_cf(q * x0 / (q - 1.0))
                                if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="lomax",
         free_parameters=(("c", "c > 0"), ("q", "q > 0")),
         map_text="(0, 1, c, q, 0)",
         to_if=lambda c, q: IFParams(0.0, 1.0, c, q, 0.0),
-        check=_mk_check(c=_positive("c"), q=_positive("q")),
-        matches=lambda pa: pa.p == 0.0 and pa.b == 1.0 and pa.x0 == 0.0,
         tree_parent="pareto_ii",
         mean_text="c / (q - 1)",
         mean_constraint="q > 1",
         mean_fn=lambda c, q: (_mean_cf(c / (q - 1.0)) if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="burr_xii",
         free_parameters=(("b", "b > 0"), ("q", "q > 0")),
         map_text="(0, b, 1, q, 0)",
         to_if=lambda b, q: IFParams(0.0, b, 1.0, q, 0.0),
-        check=_mk_check(b=_positive("b"), q=_positive("q")),
-        matches=lambda pa: (pa.p == 0.0 and pa.b > 0 and pa.c == 1.0
-                            and pa.x0 == 0.0),
         tree_parent="tadikamalla_burr_xii",
         mean_text="q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b q > 1",
@@ -262,15 +255,12 @@ def _entries() -> list[CatalogEntry]:
             _mean_cf(q * beta(q - 1.0 / b, 1.0 + 1.0 / b))
             if b * q > 1 else _NOT_DEFINED),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="fisk",
         free_parameters=(("b", "b > 0"), ("c", "c > 0")),
         map_text="(0, b, c, 1, 0)",
         to_if=lambda b, c: IFParams(0.0, b, c, 1.0, 0.0),
-        check=_mk_check(b=_positive("b"), c=_positive("c")),
-        matches=lambda pa: (pa.p == 0.0 and pa.b > 0 and pa.q == 1.0
-                            and pa.x0 == 0.0),
         tree_parent="pareto_iii",
         mean_text="c Gamma(1 - 1/b) Gamma(1 + 1/b)",
         mean_constraint="b > 1",
@@ -278,136 +268,107 @@ def _entries() -> list[CatalogEntry]:
             _mean_cf(c * _gamma(1.0 - 1.0 / b) * _gamma(1.0 + 1.0 / b))
             if b > 1 else _NOT_DEFINED),
         in_mean_table=True,
-    ))
+    ),
 
     # ---- cut-off members (p = inf) ----------------------------------------
-    es.append(CatalogEntry(
+    CatalogEntry(
         name="weibull",
         free_parameters=(("c", "c > 0"), ("q", "q > 0"), ("x0", "x0 >= 0")),
         map_text="(inf, -1, c, q, x0)",
         to_if=lambda c, q, x0: IFParams(INF, -1.0, c, q, x0),
-        check=_mk_check(c=_positive("c"), q=_positive("q"), x0=_nonneg("x0")),
-        matches=lambda pa: math.isinf(pa.p) and pa.b == -1.0,
         mean_text="x0 + c Gamma(1 + 1/q)",
-        mean_constraint=None,
         mean_fn=lambda c, q, x0: _mean_cf(x0 + c * _gamma(1.0 + 1.0 / q)),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="weibull_2p",
         free_parameters=(("c", "c > 0"), ("q", "q > 0")),
         map_text="(inf, -1, c, q, 0)",
         to_if=lambda c, q: IFParams(INF, -1.0, c, q, 0.0),
-        check=_mk_check(c=_positive("c"), q=_positive("q")),
-        matches=lambda pa: math.isinf(pa.p) and pa.b == -1.0 and pa.x0 == 0.0,
         mean_text="c Gamma(1 + 1/q)",
-        mean_constraint=None,
         mean_fn=lambda c, q: _mean_cf(c * _gamma(1.0 + 1.0 / q)),
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="frechet",
         free_parameters=(("c", "c > 0"), ("q", "q > 0"), ("x0", "x0 >= 0")),
         map_text="(inf, 1, c, q, x0)",
         to_if=lambda c, q, x0: IFParams(INF, 1.0, c, q, x0),
-        check=_mk_check(c=_positive("c"), q=_positive("q"), x0=_nonneg("x0")),
-        matches=lambda pa: math.isinf(pa.p) and pa.b == 1.0,
         tree_parent="if2",
         mean_text="x0 + c Gamma(1 - 1/q)",
         mean_constraint="q > 1",
         mean_fn=lambda c, q, x0: (_mean_cf(x0 + c * _gamma(1.0 - 1.0 / q))
                                   if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="frechet_2p",
         free_parameters=(("c", "c > 0"), ("q", "q > 0")),
         map_text="(inf, 1, c, q, 0)",
         to_if=lambda c, q: IFParams(INF, 1.0, c, q, 0.0),
-        check=_mk_check(c=_positive("c"), q=_positive("q")),
-        matches=lambda pa: math.isinf(pa.p) and pa.b == 1.0 and pa.x0 == 0.0,
         mean_text="c Gamma(1 - 1/q)",
         mean_constraint="q > 1",
         mean_fn=lambda c, q: (_mean_cf(c * _gamma(1.0 - 1.0 / q))
                               if q > 1 else _NOT_DEFINED),
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="gumbel_ii",
         free_parameters=(("c", "c > 0"), ("q", "q > 0")),
         map_text="(inf, 1, c, q, 0)",
         to_if=lambda c, q: IFParams(INF, 1.0, c, q, 0.0),
-        check=_mk_check(c=_positive("c"), q=_positive("q")),
-        matches=lambda pa: math.isinf(pa.p) and pa.b == 1.0 and pa.x0 == 0.0,
         tree_parent="frechet",
         mean_text="c Gamma(1 - 1/q)",
         mean_constraint="q > 1",
         mean_fn=lambda c, q: (_mean_cf(c * _gamma(1.0 - 1.0 / q))
                               if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="rayleigh",
         free_parameters=(("c", "c > 0"),),
         map_text="(inf, -1, c, 2, 0)",
         to_if=lambda c: IFParams(INF, -1.0, c, 2.0, 0.0),
-        check=_mk_check(c=_positive("c")),
-        matches=lambda pa: (math.isinf(pa.p) and pa.b == -1.0 and pa.q == 2.0
-                            and pa.x0 == 0.0),
         mean_text="c sqrt(pi) / 2",
-        mean_constraint=None,
         mean_fn=lambda c: _mean_cf(c * math.sqrt(math.pi) / 2.0),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="inverse_rayleigh",
         free_parameters=(("c", "c > 0"),),
         map_text="(inf, 1, c, 2, 0)",
         to_if=lambda c: IFParams(INF, 1.0, c, 2.0, 0.0),
-        check=_mk_check(c=_positive("c")),
-        matches=lambda pa: (math.isinf(pa.p) and pa.b == 1.0 and pa.q == 2.0
-                            and pa.x0 == 0.0),
         tree_parent="gumbel_ii",
         mean_text="c sqrt(pi)",
-        mean_constraint=None,
         mean_fn=lambda c: _mean_cf(c * math.sqrt(math.pi)),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="exponential",
         free_parameters=(("c", "c > 0"),),
         map_text="(inf, -1, c, 1, 0)",
         to_if=lambda c: IFParams(INF, -1.0, c, 1.0, 0.0),
-        check=_mk_check(c=_positive("c")),
-        matches=lambda pa: (math.isinf(pa.p) and pa.b == -1.0 and pa.q == 1.0
-                            and pa.x0 == 0.0),
         mean_text="c",
-        mean_constraint=None,
         mean_fn=lambda c: _mean_cf(c),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="inverse_exponential",
         free_parameters=(("c", "c > 0"),),
         map_text="(inf, 1, c, 1, 0)",
         to_if=lambda c: IFParams(INF, 1.0, c, 1.0, 0.0),
-        check=_mk_check(c=_positive("c")),
-        matches=lambda pa: (math.isinf(pa.p) and pa.b == 1.0 and pa.q == 1.0
-                            and pa.x0 == 0.0),
         tree_parent="gumbel_ii",
         mean_text="not defined",
         mean_constraint="violated",
         mean_fn=lambda c: _NOT_DEFINED,
         in_mean_table=True,
-    ))
+    ),
 
     # ---- b = 1 members with finite p > 0 (parameterized by m = p+1) -------
-    es.append(CatalogEntry(
+    CatalogEntry(
         name="generalized_lomax",
         free_parameters=(("m", "m > 1"), ("c", "c > 0"), ("q", "q > 0")),
         map_text="(m-1, 1, c, q, 0)",
         to_if=lambda m, c, q: IFParams(m - 1.0, 1.0, c, q, 0.0),
-        check=_mk_check(m=lambda v: [] if v > 1 else ["m must exceed 1"],
-                        c=_positive("c"), q=_positive("q")),
-        matches=lambda pa: (0.0 < pa.p < INF and pa.b == 1.0 and pa.x0 == 0.0),
+        membership=lambda pa: (0.0 < pa.p < INF and pa.b == 1.0 and pa.x0 == 0.0),
         tree_parent="if3",
         mean_text="c m^(1-1/q) (B(1 - 1/q, m) - 1/m)",
         mean_constraint="q > 1",
@@ -415,16 +376,14 @@ def _entries() -> list[CatalogEntry]:
             _mean_cf(c * m ** (1.0 - 1.0 / q) * (beta(1.0 - 1.0 / q, m) - 1.0 / m))
             if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
-    ))
-    es.append(CatalogEntry(
+    ),
+    CatalogEntry(
         name="stoppa",
         free_parameters=(("m", "m > 1"), ("c", "c > 0"), ("q", "q > 0")),
         map_text="(m-1, 1, c, q, c m^(-1/q))",
         to_if=lambda m, c, q: IFParams(m - 1.0, 1.0, c, q, c * m ** (-1.0 / q)),
-        check=_mk_check(m=lambda v: [] if v > 1 else ["m must exceed 1"],
-                        c=_positive("c"), q=_positive("q")),
-        matches=lambda pa: (0.0 < pa.p < INF and pa.b == 1.0
-                            and pa.x0 == pa.c * (pa.p + 1.0) ** (-1.0 / pa.q)),
+        membership=lambda pa: (0.0 < pa.p < INF and pa.b == 1.0
+                               and pa.x0 == pa.c * (pa.p + 1.0) ** (-1.0 / pa.q)),
         tree_parent="if3",
         mean_text="c m^(1-1/q) B(1 - 1/q, m)",
         mean_constraint="q > 1",
@@ -432,11 +391,10 @@ def _entries() -> list[CatalogEntry]:
             _mean_cf(c * m ** (1.0 - 1.0 / q) * beta(1.0 - 1.0 / q, m))
             if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
-    ))
-    return es
+    ),
+]
 
-
-CATALOG: dict[str, CatalogEntry] = {e.name: e for e in _entries()}
+CATALOG: dict[str, CatalogEntry] = {e.name: e for e in _ENTRIES}
 
 # Specialization edges of the drawn (b > 0) tree: child = parent with the
 # stated condition pinned.  Each binder rewrites one side's arguments into
@@ -532,9 +490,12 @@ def named(name: str, **args) -> IFParams:
 
 
 def resolve(params: IFParams) -> list[str]:
-    """Every catalog name whose constraint region contains params exactly,
-    most specific (fewest free parameters) first; concrete names ahead of
-    the if1/if2/if3 subfamily heads on ties."""
+    """Every catalog name whose constraint region contains the valid point
+    params exactly, most specific (fewest free parameters) first; concrete
+    names ahead of the if1/if2/if3 subfamily heads on ties."""
+    problems = params.violations()
+    if problems:
+        raise DomainError("; ".join(problems))
     hits = [e for e in CATALOG.values() if e.matches(params)]
     hits.sort(key=lambda e: (e.arity, e.name.startswith("if"), e.name))
     return [e.name for e in hits]
@@ -550,17 +511,4 @@ def table1_mean(name: str, **args) -> MomentResult:
 
 def records() -> list[dict]:
     """Machine-readable listing, one record per entry."""
-    out = []
-    for name in catalog_names():
-        e = CATALOG[name]
-        out.append({
-            "name": e.name,
-            "arity": e.arity,
-            "parameters": ",".join(p for p, _ in e.free_parameters),
-            "constraints": "; ".join(c for _, c in e.free_parameters if c),
-            "if_map": e.map_text,
-            "tree_parent": e.tree_parent or "",
-            "mean": e.mean_text or "",
-            "mean_constraint": e.mean_constraint or "",
-        })
-    return out
+    return [CATALOG[name].record() for name in catalog_names()]

@@ -35,7 +35,7 @@ from .kernels import UniformStream, integrate, maximize_scalar
 __all__ = ["main"]
 
 _RAW_KEYS = ("p", "b", "c", "q", "x0")
-_ENTRY_KEYS = ("b", "c", "q", "x0", "gamma", "m", "p")
+_ENTRY_KEYS = _RAW_KEYS + ("gamma", "m")
 
 # the density-sweep base point: every parameter fixed unless varied/overridden
 _CURVE_BASE = {"p": 1.0, "b": 1.0, "c": 200.0, "q": 2.0, "x0": 0.0}
@@ -120,20 +120,19 @@ def _build_params(ns) -> IFParams:
     if ns.dist is not None:
         if ns.params is not None:
             raise _UsageError("--dist and --params are mutually exclusive")
-        if ns.p is not None:
-            raise _UsageError("--dist and --p are mutually exclusive; "
-                              "named entries pin p themselves")
         e = cat.entry(ns.dist)
         expected = [name for name, _ in e.free_parameters]
         provided = {}
         for key in _ENTRY_KEYS:
-            val = getattr(ns, key, None)
-            if val is not None and key in expected:
-                provided[key] = val
-        for key in ("b", "c", "q", "x0", "gamma", "m"):
-            val = getattr(ns, key, None)
-            if val is not None and key not in expected:
+            val = getattr(ns, key)
+            if val is None:
+                continue
+            if key not in expected:
+                if key == "p":
+                    raise _UsageError("--dist and --p are mutually exclusive; "
+                                      "named entries pin p themselves")
                 raise _UsageError(f"--{key} is not a parameter of {ns.dist}")
+            provided[key] = _parse_p(val) if key == "p" else val
         return cat.named(ns.dist, **provided)
 
     values = _raw_values(ns, {})
@@ -308,24 +307,21 @@ def _cmd_modegrid(ns) -> int:
 
 def _cmd_catalog(ns) -> int:
     if ns.action == "list":
-        cols = ["name", "arity", "parameters", "constraints", "if_map",
-                "tree_parent", "mean", "mean_constraint"]
+        records = cat.records()
+        cols = list(records[0])
         print(",".join(cols))
-        for rec in cat.records():
+        for rec in records:
             print(",".join('"' + str(rec[c]) + '"' if "," in str(rec[c])
                            else str(rec[c]) for c in cols))
         return 0
     if ns.name is None:
         raise _UsageError("catalog show requires a name")
-    e = cat.entry(ns.name)
-    print(f"name={e.name}")
-    print("parameters=" + ",".join(p for p, _ in e.free_parameters))
-    print("constraints=" + "; ".join(c for _, c in e.free_parameters if c))
-    print(f"if_map={e.map_text}")
-    print(f"tree_parent={e.tree_parent or ''}")
-    if e.mean_text:
-        print(f"mean={e.mean_text}")
-        print(f"mean_constraint={e.mean_constraint or ''}")
+    rec = cat.entry(ns.name).record()
+    shown = ["name", "parameters", "constraints", "if_map", "tree_parent"]
+    if rec["mean"]:
+        shown += ["mean", "mean_constraint"]
+    for key in shown:
+        print(f"{key}={rec[key]}")
     return 0
 
 

@@ -51,6 +51,39 @@ def _first_float(out: np.ndarray) -> float:
     return float(out[0])
 
 
+def _power_offset(c: float, ln_scale: float, z, expo: float,
+                  cutoff: bool = False):
+    """c e^ln_scale w^expo, the closed-form quantile offset, with w = z at
+    p = inf (cutoff) and w = e^z - 1 otherwise, for a float or an array z.
+    A factor can leave the doubles while the product does not; only where
+    the linear-space product is not finite and positive is it formed from
+    logs, so every other result keeps its bits."""
+    scalar = isinstance(z, float)
+    try:
+        if cutoff:
+            out = z ** expo
+        elif scalar:
+            out = math.expm1(z) ** expo
+        else:  # in place, so no 1e6-element temporary is added
+            out = np.expm1(z)
+            np.power(out, expo, out=out)
+        out *= c * math.exp(ln_scale)
+    except OverflowError:  # math.exp, math.expm1 or a Python float power
+        out = np.full(np.shape(z), math.nan)
+    if scalar:
+        if 0.0 < out < math.inf:
+            return out
+        out = np.array(out)
+    elif np.isfinite(out).all() and out.all():
+        return out
+    bad = ~np.isfinite(out) | (out == 0.0)
+    zb = np.asarray(z)[bad]
+    with np.errstate(over="ignore", divide="ignore"):
+        ln_w = np.log(zb) if cutoff else zb + np.log(-np.expm1(-zb))
+        out[bad] = np.exp(math.log(c) + ln_scale + expo * ln_w)
+    return float(out) if scalar else out
+
+
 def _coerce(x):
     """The scalar/array contract of every distribution function.
 
@@ -366,12 +399,17 @@ class IFDistribution:
                                       np.log(den))
                     out[far] = np.exp(ln_num[far] - ln_den[far])
             elif self._inf_p:
-                out = np.exp(self._ln_coef + (-self.b * self.q - 1.0) * ln_y)
+                # e ln_y is nan at x = inf when e = 0 (the exponential law)
+                e = -self.b * self.q - 1.0
+                out = np.exp(self._ln_coef
+                             + (e * ln_y if e != 0.0 else np.zeros_like(ln_y)))
             else:
                 ln_g = self._ln_g(ln_y)
                 ln1mw = self._ln_one_minus_exp(self._ln_w(ln_g))
                 out = np.exp(self._ln_coef + (self.b - 1.0) * ln_y
                              - (self.q + 1.0) * ln_g - ln1mw)
+        if not (self._inf_p and self.b < 0):
+            out[np.isinf(xs)] = 0.0  # the limit; the forms above meet inf - inf
         return unwrap(out)
 
     def _quantile_plus_offset(self, ln_y: np.ndarray,
@@ -383,14 +421,11 @@ class IFDistribution:
         """
         b, q, c, p = self.b, self.q, self.c, self.p
         if self._inf_p:
-            return c * (-ln_y) ** (-1.0 / (b * q))
+            return _power_offset(c, 0.0, -ln_y, -1.0 / (b * q), cutoff=True)
         if p == 0.0:
-            inner = np.expm1(-ln_1my / q)
-            return c * inner ** (1.0 / b)
+            return _power_offset(c, 0.0, -ln_1my / q, 1.0 / b)
         u = -np.expm1(ln_y / (p + 1.0))          # 1 - y^(1/(p+1))
-        inner = np.expm1(-np.log(u) / q)         # u^(-1/q) - 1
-        scale = math.exp(-math.log1p(p) / (b * q))
-        return c * scale * inner ** (1.0 / b)
+        return _power_offset(c, -math.log1p(p) / (b * q), -np.log(u) / q, 1.0 / b)
 
     def quantile_offset(self, y):
         """quantile(y) - x0 without forming x, so offsets far below the
@@ -406,7 +441,7 @@ class IFDistribution:
             ym = ys[mid]
             ln_y = np.log(ym)
             ln_1my = np.log1p(-ym)
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 if self.b > 0:
                     out[mid] = self._quantile_plus_offset(ln_y, ln_1my)
                 else:
@@ -423,21 +458,21 @@ class IFDistribution:
         """Closed-form median; identical for either sign of b."""
         b, q, c, p, x0 = self.b, self.q, self.c, self.p, self.x0
         if self._inf_p:
-            return x0 + c * _LN2 ** (-1.0 / (b * q))
+            return x0 + _power_offset(c, 0.0, _LN2, -1.0 / (b * q), cutoff=True)
         if p == 0.0:
-            return x0 + c * math.expm1(_LN2 / q) ** (1.0 / b)
+            return x0 + _power_offset(c, 0.0, _LN2 / q, 1.0 / b)
         u = -math.expm1(-_LN2 / (p + 1.0))       # 1 - 2^(-1/(p+1))
-        inner = math.expm1(-math.log(u) / q)
-        scale = math.exp(-math.log1p(p) / (b * q))
-        return x0 + c * scale * inner ** (1.0 / b)
+        ln_scale = -math.log1p(p) / (b * q)
+        return x0 + _power_offset(c, ln_scale, -math.log(u) / q, 1.0 / b)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n inverse-transform draws, deterministic per seed, in stream order.
 
-        Uniforms are strictly inside (0, 1), so every draw is finite and
-        greater than x0.  Draws whose offset from x0 falls below the float
-        spacing at x0 (a real boundary-layer event for b < 0 with small
-        |b| q) are represented by the smallest double above x0.
+        Uniforms are strictly inside (0, 1), so every draw is greater than
+        x0, and finite unless its quantile lies beyond the largest double
+        (possible when |b| q is tiny).  Draws whose offset from x0 falls
+        below the float spacing at x0 (a real boundary-layer event for b < 0
+        with small |b| q) are represented by the smallest double above x0.
         """
         if n < 0:
             raise DomainError(f"n must be nonnegative, got {n!r}")

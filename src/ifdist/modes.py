@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IFDistribution, IFParams, Subfamily, classify
+from .core import IFDistribution, IFParams, Subfamily, _power_offset, classify
 from .errors import DomainError
 from .kernels import Bracket, find_root
 
@@ -147,9 +147,8 @@ def solve_mode_equation(params: IFParams, tol: float = 1e-14) -> list[float]:
 def mode_x_from_t(params: IFParams, t: float) -> float:
     """Map a root of the stationarity equation back to the x axis."""
     b, c, q, p, x0 = params.b, params.c, params.q, params.p, params.x0
-    inner = math.expm1(-math.log(t) / q)
-    scale = math.exp(-math.log1p(p) / (b * q))
-    return x0 + c * scale * inner ** (1.0 / b)
+    ln_scale = -math.log1p(p) / (b * q)
+    return x0 + _power_offset(c, ln_scale, -math.log(t) / q, 1.0 / b)
 
 
 def _if1_mode(params: IFParams, d: IFDistribution) -> ModeResult:

@@ -1,4 +1,7 @@
+import json
 import math
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +74,26 @@ class TestNamed:
         with pytest.raises(DomainError, match="negative"):
             named("dagum", b=2.0, c=1, q=1)
 
+    # one entry per constraint form, several arguments out of range at once;
+    # the messages were recorded from the hand-written checks they replace
+    @pytest.mark.parametrize("name, args, message", [
+        ("if1", dict(b=0, c=0, q=-1, x0=-1), "if1: b must be nonzero; "
+         "c must be positive; q must be positive; x0 must be nonnegative"),
+        ("lomax", dict(c=0, q=-2), "lomax: c must be positive; q must be positive"),
+        ("weibull", dict(c=-1, q=1, x0=-0.5),
+         "weibull: c must be positive; x0 must be nonnegative"),
+        ("dagum", dict(b=1, c=-1, q=1), "dagum: b must be negative; c must be positive"),
+        ("stoppa", dict(m=1, c=1, q=0), "stoppa: m must exceed 1; q must be positive"),
+        ("if3", dict(p=INF, c=1, q=1, x0=-1),
+         "if3: p must be in (0, inf); x0 must be nonnegative"),
+        ("generalized_lomax", dict(m=math.nan, c=math.nan, q=1),
+         "generalized_lomax: m must exceed 1; c must be positive"),
+    ])
+    def test_every_violation_reported_in_order(self, name, args, message):
+        with pytest.raises(DomainError) as exc:
+            named(name, **args)
+        assert str(exc.value) == message
+
     def test_missing_and_extra_args(self):
         with pytest.raises(DomainError, match="missing"):
             named("exponential")
@@ -94,6 +117,29 @@ class TestResolve:
     def test_gumbel_and_frechet_2p_are_both_reported(self):
         names = resolve(IFParams(INF, 1.0, 2.0, 3.0, 0.0))
         assert "gumbel_ii" in names and "frechet_2p" in names
+
+    def test_corner_grid_pinned(self):
+        # p, b at and around their special values, c, q, x0 on small corner
+        # values (x0 = c for Pareto I), plus the Stoppa location lock; the
+        # expected lists were recorded from the hand-written predicates
+        data = json.loads((Path(__file__).parent / "data"
+                           / "resolve_corner_grid.json").read_text())
+        points = list(product([0.0, 0.5, 2.0, INF], [1.0, -1.0, -0.5, 2.0],
+                              [0.7, 1.0, 2.0, 3.0], [0.7, 1.0, 2.0, 3.0],
+                              [0.0, 0.7, 1.0, 2.0, 3.0]))
+        points.append((1.0, 1.0, 1.0, 3.0, 2.0 ** (-1.0 / 3.0)))
+        assert len(points) == len(data["index"])
+        wrong = [(pt, resolve(IFParams(*pt)), data["outcomes"][k])
+                 for pt, k in zip(points, data["index"])
+                 if resolve(IFParams(*pt)) != data["outcomes"][k]]
+        assert not wrong, wrong[:5]
+
+    def test_invalid_point_rejected(self):
+        # q = 0 used to reach the Stoppa predicate's 1/q
+        with pytest.raises(DomainError, match="q must be positive"):
+            resolve(IFParams(1.0, 1.0, 1.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match="c must be positive"):
+            resolve(IFParams(0.0, 1.0, 0.0, 1.0, 0.0))
 
     def test_contains_own_name(self):
         u = UniformStream(2024)

@@ -39,6 +39,15 @@ class TestEval:
         assert code == 0
         assert out.splitlines()[1] == "1,inf"
 
+    def test_quantile_with_overflowing_factor(self, capsys):
+        # (p+1)^(-1/(bq)) alone overflows here; the quantile is ~2e-64
+        code, out, _ = run(capsys, "--p", "3000", "--b", "-0.05", "--c", "1",
+                           "--q", "0.05", "--x0", "0",
+                           "eval", "--what", "quantile", "--at", "0.5")
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(
+            2.0423154611841039e-64, rel=1e-10)
+
     def test_seventeen_digits_roundtrip(self, capsys):
         code, out, _ = run(capsys, "--dist", "rayleigh", "--c", "1.7",
                            "eval", "--what", "pdf", "--at", "0.9")
@@ -67,6 +76,18 @@ class TestParamSelection:
         code, _, err = run(capsys, "--dist", "exponential", "--c", "1",
                            "--p", "2", "summary")
         assert code == 1 and "mutually exclusive" in err
+
+    def test_dist_if3_takes_p(self, capsys):
+        by_name = run(capsys, "--dist", "if3", "--p", "1", "--c", "1",
+                      "--q", "2", "--x0", "0", "summary")
+        raw = run(capsys, "--p", "1", "--b", "1", "--c", "1", "--q", "2",
+                  "--x0", "0", "summary")
+        assert by_name[0] == 0 and by_name == raw
+
+    def test_dist_if3_checks_p(self, capsys):
+        code, _, err = run(capsys, "--dist", "if3", "--p", "inf", "--c", "1",
+                           "--q", "2", "--x0", "0", "summary")
+        assert code == 1 and "p must be in (0, inf)" in err
 
     def test_dist_rejects_foreign_flag(self, capsys):
         code, _, err = run(capsys, "--dist", "exponential", "--c", "1",

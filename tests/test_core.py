@@ -18,6 +18,7 @@ from ifdist import (
     new_distribution,
     p_exponential,
 )
+from ifdist.modes import mode_x_from_t
 
 INF = math.inf
 
@@ -272,6 +273,21 @@ class TestHazard:
         assert d.hazard(xs) == pytest.approx(want, rel=1e-12)
         assert [d.hazard(float(x)) for x in xs] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("p, b, q, want", [
+        (0.0, 1.5, 2.0, 0.0),
+        (0.5, 1.5, 2.0, 0.0),
+        (INF, 1.5, 2.0, 0.0),
+        (0.0, -1.5, 2.0, 0.0),
+        (0.5, -1.5, 2.0, 0.0),
+        (INF, -1.5, 2.0, INF),   # Weibull with shape bq = 3 > 1
+        (INF, -1.0, 1.0, 0.5),   # exponential: 1/c throughout
+        (INF, -1.0, 0.5, 0.0),   # Weibull with shape 1/2
+    ])
+    def test_at_infinity(self, p, b, q, want):
+        d = dist(p, b, 2.0, q, 0.0)
+        assert d.hazard(INF) == pytest.approx(want, rel=1e-15)
+        assert d.hazard(np.array([3.0, INF]))[1] == pytest.approx(want, rel=1e-15)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             new_distribution(EXPONENTIAL).hazard(0.0)
@@ -359,6 +375,37 @@ class TestSample:
     def test_exponential_mean_clt(self):
         xs = new_distribution(EXPONENTIAL).sample(1_000_000, 42)
         assert abs(xs.mean() - 1.0) < 0.004
+
+
+class TestSplitFactorOverflow:
+    """The quantile offset c (p+1)^(-1/(bq)) (e^z - 1)^(1/b) (c z^(-1/(bq))
+    at p = inf) at points where a factor leaves the doubles and the product
+    does not; medians from 50-digit mpmath."""
+
+    CASES = [
+        (IFParams(1e10, 0.05, 1.0, 0.05, 0.0), 4.6753657169415787e+63),
+        (IFParams(3000.0, -0.05, 1.0, 0.05, 0.0), 2.0423154611841039e-64),
+        (IFParams(0.0, 1000.0, 1.0, 0.0009, 0.0), 2.1601194777846123),
+        (IFParams(INF, 0.01, 1e-300, 0.04, 0.0), 8.6366911051753705e+97),
+    ]
+
+    @pytest.mark.parametrize("params, want", CASES)
+    def test_median_and_quantile(self, params, want):
+        d = new_distribution(params)
+        assert d.median() == pytest.approx(want, rel=1e-10)
+        assert d.quantile(0.5) == pytest.approx(want, rel=1e-10)
+        assert d.quantile(np.array([0.5]))[0] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("params, want", CASES[:3])
+    def test_mode_map_at_the_median_level(self, params, want):
+        # t = 1 - 2^(-1/(p+1)) is the median's level on the t axis
+        t = -math.expm1(-math.log(2.0) / (params.p + 1.0))
+        assert mode_x_from_t(params, t) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("params, want", CASES)
+    def test_sample_has_no_nan(self, params, want):
+        xs = new_distribution(params).sample(1000, 5)
+        assert not np.isnan(xs).any() and (xs > params.x0).all()
 
 
 class TestDistributionInvariants:
