@@ -325,6 +325,12 @@ def _cmd_catalog(ns) -> int:
     return 0
 
 
+def _worse(dev: float, worst: float) -> bool:
+    """Whether dev replaces worst as a check suite's worst deviation: NaN
+    is worse than any number, and a NaN worst stays."""
+    return not (dev <= worst or math.isnan(worst))
+
+
 def _check_params_iter():
     for p, b, q, c, x0 in product(_CHECK_GRID["p"], _CHECK_GRID["b"],
                                   _CHECK_GRID["q"], _CHECK_GRID["c"],
@@ -332,28 +338,21 @@ def _check_params_iter():
         yield IFParams(p, b, c, q, x0)
 
 
-def _check_normalization(tol: float) -> tuple[float, str]:
-    worst, where = 0.0, ""
+def _check_normalization(tol: float):
     for pa in _check_params_iter():
         d = IFDistribution(pa)
         r = integrate(d.pdf_offset, 0.0, math.inf, min(1e-8, tol / 10.0))
         dev = abs(r.value - 1.0)
         if not r.converged:
             dev = max(dev, r.abs_error_estimate)
-        if dev > worst:
-            worst, where = dev, repr(pa)
-    return worst, where
+        yield dev, repr(pa)
 
 
-def _check_roundtrip(tol: float) -> tuple[float, str]:
-    worst, where = 0.0, ""
+def _check_roundtrip(tol: float):
     for pa in _check_params_iter():
         d = IFDistribution(pa)
-        dev = float(np.max(np.abs(
-            d.cdf_offset(d.quantile_offset(_CHECK_LEVELS)) - _CHECK_LEVELS)))
-        if dev > worst:
-            worst, where = dev, repr(pa)
-    return worst, where
+        got = d.cdf_offset(d.quantile_offset(_CHECK_LEVELS))
+        yield float(np.max(np.abs(got - _CHECK_LEVELS))), repr(pa)
 
 
 def _table1_check_args(name: str) -> list[dict[str, float]]:
@@ -384,8 +383,7 @@ def _table1_check_args(name: str) -> list[dict[str, float]]:
     return out
 
 
-def _check_moments(tol: float) -> tuple[float, str]:
-    worst, where = 0.0, ""
+def _check_moments(tol: float):
     rows = [n for n in cat.catalog_names() if cat.CATALOG[n].in_mean_table]
     for name in rows:
         row_worst = 0.0
@@ -396,15 +394,12 @@ def _check_moments(tol: float) -> tuple[float, str]:
                 continue
             num = moments_mod._numeric_moment(pa, 1)
             dev = abs(closed.value - num.value) / (1.0 + abs(closed.value))
-            row_worst = max(row_worst, dev)
-            if dev > worst:
-                worst, where = dev, f"{name} {args!r}"
+            row_worst = dev if _worse(dev, row_worst) else row_worst
+            yield dev, f"{name} {args!r}"
         print(f"row={name} worst={row_worst:.3e}")
-    return worst, where
 
 
-def _check_modes(tol: float) -> tuple[float, str]:
-    worst, where = 0.0, ""
+def _check_modes(tol: float):
     for pa in _check_params_iter():
         res = modes_mod.mode(pa)
         if res.kind is not modes_mod.ModeKind.INTERIOR:
@@ -413,10 +408,7 @@ def _check_modes(tol: float) -> tuple[float, str]:
         lo = pa.x0 + 1e-9 * pa.c
         hi = pa.x0 + 50.0 * pa.c
         argmax, _ = maximize_scalar(d.log_pdf, lo, hi, tol=1e-11 * pa.c)
-        dev = abs(res.x - argmax) / pa.c
-        if dev > worst:
-            worst, where = dev, repr(pa)
-    return worst, where
+        yield abs(res.x - argmax) / pa.c, repr(pa)
 
 
 _SUITES = {
@@ -433,7 +425,10 @@ def _cmd_check(ns) -> int:
     if tol <= 0:
         raise _UsageError("--tol must be positive")
     t0 = time.time()
-    worst, where = fn(tol)
+    worst, where = 0.0, ""
+    for dev, point in fn(tol):
+        if _worse(dev, worst):
+            worst, where = dev, point
     elapsed = time.time() - t0
     status = "pass" if worst <= tol else "fail"
     print(f"suite={ns.suite} worst={worst:.3e} tol={tol:g} "

@@ -251,45 +251,55 @@ class IFDistribution:
             return math.inf
         return 1.0 / c
 
-    # -- log-space building blocks --------------------------------------------
+    # -- the one path from the offset to the log terms ------------------------
 
-    def _ln_y(self, y: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(y)
+    # Each caller holds np.errstate(all="ignore") around these: ds/c may
+    # overflow, and y^(-bq) -> inf, ln(1 - w) = -inf mean density 0.
 
-    def _ln_g(self, ln_y: np.ndarray) -> np.ndarray:
-        return np.logaddexp(self._ln_k, self.b * ln_y)
+    def _ln_y(self, ds: np.ndarray) -> np.ndarray:
+        """ln y, y = ds/c, at offsets ds > 0 (inf allowed); ln ds - ln c
+        where ds/c leaves the normal doubles while ds is finite."""
+        y = ds / self.c
+        ln_y = np.log(y)
+        if y.size and not (y.min() >= _TINY and y.max() < math.inf):
+            far = ((y < _TINY) | (y == math.inf)) & (ds < math.inf)
+            ln_y[far] = np.log(ds[far]) - math.log(self.c)
+        return ln_y
 
-    def _ln_w(self, ln_g: np.ndarray) -> np.ndarray:
-        # w = G^(-q) / (p+1) in (0, 1]
-        return -self.q * ln_g - math.log1p(self.p)
-
-    @staticmethod
-    def _ln_one_minus_exp(la: np.ndarray) -> np.ndarray:
-        """log(1 - exp(la)) for la <= 0, stable on both ends."""
-        la = np.asarray(la, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            big = np.log(-np.expm1(la))
-            small = np.log1p(-np.exp(la))
-        return np.where(la > -_LN2, big, small)
-
-    def _interior_log_pdf(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = np.full(y.shape, -math.inf)
-        fin = np.isfinite(y)  # y = inf (beyond any double x) has density 0
-        if not fin.any():
-            return out
-        ln_y = self._ln_y(y[fin])
+    def _terms(self, ds: np.ndarray, with_1mw: bool = True):
+        """(ln y, g, ln(1 - w)) at offsets ds > 0: g is ln G at finite p and
+        y^(-bq) at p = inf; ln(1 - w), w = G^(-q)/(p+1), is formed at
+        finite p when with_1mw (else None), stable on both ends."""
+        ln_y = self._ln_y(ds)
         if self._inf_p:
-            with np.errstate(over="ignore"):  # v -> inf means log-density -inf
-                v = np.exp(-self.b * self.q * ln_y)
-            out[fin] = self._ln_coef + (-self.b * self.q - 1.0) * ln_y - v
-            return out
-        ln_g = self._ln_g(ln_y)
-        vals = self._ln_coef + (self.b - 1.0) * ln_y - (self.q + 1.0) * ln_g
-        if self.p > 0:
-            vals = vals + self.p * self._ln_one_minus_exp(self._ln_w(ln_g))
-        out[fin] = vals
+            return ln_y, np.exp(-self.b * self.q * ln_y), None
+        ln_g = np.logaddexp(self._ln_k, self.b * ln_y)
+        if not with_1mw:
+            return ln_y, ln_g, None
+        ln_w = -self.q * ln_g - math.log1p(self.p)
+        big = np.log(-np.expm1(ln_w))
+        small = np.log1p(-np.exp(ln_w))
+        return ln_y, ln_g, np.where(ln_w > -_LN2, big, small)
+
+    def _ln_density(self, ln_y, g, ln_1mw) -> np.ndarray:
+        """ln pdf from the terms; e_p is left out without ln(1 - w)."""
+        if self._inf_p:
+            return self._ln_coef + (-self.b * self.q - 1.0) * ln_y - g
+        out = self._ln_coef + (self.b - 1.0) * ln_y - (self.q + 1.0) * g
+        if ln_1mw is not None and self.p > 0:  # e_0 = 1
+            out += self.p * ln_1mw
+        return out
+
+    def _ln_sf_plus(self, g, ln_1mw) -> np.ndarray:
+        """(p+1) ln(1 - w): ln cdf for b > 0, ln survival for b < 0."""
+        return -g if self._inf_p else (self.p + 1.0) * ln_1mw
+
+    def _log_pdf(self, ds: np.ndarray, message: str) -> np.ndarray:
+        if not (ds > 0).all():
+            raise DomainError(message)
+        with np.errstate(all="ignore"):
+            out = self._ln_density(*self._terms(ds, self.p > 0))
+        out[np.isinf(ds)] = -math.inf  # inf - inf above; the density is 0
         return out
 
     # -- distribution surface --------------------------------------------------
@@ -308,11 +318,11 @@ class IFDistribution:
         """
         ds, unwrap = _coerce(delta)
         out = np.zeros(ds.shape)
-        y = ds / self.c
-        interior = (y > 0) & np.isfinite(ds)
+        interior = (ds > 0) & (ds < math.inf)
         if interior.any():
-            with np.errstate(over="ignore"):
-                out[interior] = np.exp(self._interior_log_pdf(y[interior]))
+            with np.errstate(all="ignore"):
+                terms = self._terms(ds[interior], self.p > 0)
+                out[interior] = np.exp(self._ln_density(*terms))
         out[ds == 0.0] = self._boundary
         out[np.isnan(ds)] = np.nan
         return unwrap(out)
@@ -320,38 +330,23 @@ class IFDistribution:
     def log_pdf(self, x):
         """ln pdf on the open support x > x0; stays finite where pdf underflows."""
         xs, unwrap = _coerce(x)
-        y = (xs - self.x0) / self.c
-        if not (y > 0).all():
-            raise DomainError("log_pdf requires x > x0")
-        return unwrap(self._interior_log_pdf(y))
+        return unwrap(self._log_pdf(xs - self.x0, "log_pdf requires x > x0"))
 
     def log_pdf_offset(self, delta):
         """log_pdf(x0 + delta) straight from the offset; requires delta > 0."""
         ds, unwrap = _coerce(delta)
-        if not (ds > 0).all():
-            raise DomainError("log_pdf_offset requires delta > 0")
-        with np.errstate(over="ignore"):  # delta/c may exceed the float range
-            return unwrap(self._interior_log_pdf(ds / self.c))
-
-    def _ln_sf_plus(self, y: np.ndarray) -> np.ndarray:
-        """ln of (1 - w)^(p+1), i.e. (p+1) ln(1-w): the cdf for b > 0 and
-        the survival for b < 0."""
-        ln_y = self._ln_y(y)
-        if self._inf_p:
-            with np.errstate(over="ignore"):
-                return -np.exp(-self.b * self.q * ln_y)
-        ln_g = self._ln_g(ln_y)
-        return (self.p + 1.0) * self._ln_one_minus_exp(self._ln_w(ln_g))
+        return unwrap(self._log_pdf(ds, "log_pdf_offset requires delta > 0"))
 
     def _tail_offset(self, delta, lower: bool):
         """cdf (lower) or survival at the offsets delta, each from its own
         branch."""
         ds, unwrap = _coerce(delta)
         out = np.zeros(ds.shape) if lower else np.ones(ds.shape)
-        y = ds / self.c
-        pos = y > 0
+        pos = ds > 0
         if pos.any():
-            ln_plus = self._ln_sf_plus(y[pos])
+            with np.errstate(all="ignore"):
+                _, g, ln_1mw = self._terms(ds[pos])
+            ln_plus = self._ln_sf_plus(g, ln_1mw)
             if (self.b > 0) == lower:
                 out[pos] = np.exp(ln_plus)
             else:
@@ -381,33 +376,33 @@ class IFDistribution:
     def hazard(self, x):
         """pdf / survival, from the explicit branch for each sign of b."""
         xs, unwrap = _coerce(x)
-        y = (xs - self.x0) / self.c
-        if not (y > 0).all():
+        ds = xs - self.x0
+        if not (ds > 0).all():
             raise DomainError("hazard requires x > x0")
-        ln_y = self._ln_y(y)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             if self.b > 0:
-                ln_num = self._interior_log_pdf(y)
+                ln_y, g, ln_1mw = self._terms(ds)
+                ln_num = self._ln_density(ln_y, g, ln_1mw)
                 num = np.exp(ln_num)
-                den = -np.expm1(self._ln_sf_plus(y))
+                den = -np.expm1(self._ln_sf_plus(g, ln_1mw))
                 out = num / den
                 # far out, pdf or survival leaves the normal doubles; the
                 # survival is G^(-q) = (p+1) w there, to double precision
-                far = (num < _TINY) | (den < _TINY)
-                if far.any():
-                    ln_den = np.where(den < _TINY, -self.q * self._ln_g(ln_y),
-                                      np.log(den))
-                    out[far] = np.exp(ln_num[far] - ln_den[far])
-            elif self._inf_p:
-                # e ln_y is nan at x = inf when e = 0 (the exponential law)
-                e = -self.b * self.q - 1.0
+                far = np.nonzero((num < _TINY) | (den < _TINY))
+                if far[0].size:
+                    den_far = den[far]
+                    tiny = den_far < _TINY
+                    ln_den = np.log(den_far)
+                    ln_g = self.b * ln_y[far] if self._inf_p else g[far]
+                    ln_den[tiny] = -self.q * ln_g[tiny]
+                    out[far] = np.exp(ln_num[far] - ln_den)
+            elif self._inf_p:  # e ln_y is nan at x = inf when e = 0
+                e, ln_y = -self.b * self.q - 1.0, self._ln_y(ds)
                 out = np.exp(self._ln_coef
                              + (e * ln_y if e != 0.0 else np.zeros_like(ln_y)))
             else:
-                ln_g = self._ln_g(ln_y)
-                ln1mw = self._ln_one_minus_exp(self._ln_w(ln_g))
-                out = np.exp(self._ln_coef + (self.b - 1.0) * ln_y
-                             - (self.q + 1.0) * ln_g - ln1mw)
+                ln_y, ln_g, ln_1mw = self._terms(ds)
+                out = np.exp(self._ln_density(ln_y, ln_g, None) - ln_1mw)
         if not (self._inf_p and self.b < 0):
             out[np.isinf(xs)] = 0.0  # the limit; the forms above meet inf - inf
         return unwrap(out)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ifdist import cli
 from ifdist.cli import main
 
 
@@ -300,6 +301,24 @@ class TestCheck:
                              "--tol", "1e-18")
         assert code == 2
         assert "result=fail" in out and "offending=IFParams" in err
+
+    @pytest.mark.parametrize("nan_at", ["first", "middle", "all"])
+    def test_nan_deviation_fails_with_its_point(self, capsys, monkeypatch,
+                                                nan_at):
+        # a NaN deviation is never "> worst"; it must fail the suite anyway
+        suite, tol = cli._SUITES["roundtrip"]
+        points = [repr(pa) for pa in cli._check_params_iter()]
+        where = {"first": 0, "middle": len(points) // 2, "all": 0}[nan_at]
+
+        def with_nan(t):
+            for i, (dev, point) in enumerate(suite(t)):
+                yield (math.nan if nan_at == "all" or i == where else dev), point
+
+        monkeypatch.setitem(cli._SUITES, "roundtrip", (with_nan, tol))
+        code, out, err = run(capsys, "check", "--suite", "roundtrip")
+        assert code == 2
+        assert "worst=nan" in out and "result=fail" in out
+        assert err == f"offending={points[where]}\n"
 
 
 class TestExitCodes:

@@ -272,6 +272,9 @@ class TestHazard:
         want = [3.0 / x for x in xs]
         assert d.hazard(xs) == pytest.approx(want, rel=1e-12)
         assert [d.hazard(float(x)) for x in xs] == pytest.approx(want, rel=1e-12)
+        grid = d.hazard(np.array([[2.0, xs[0]], [xs[1], xs[2]]]))
+        assert grid.shape == (2, 2)
+        assert list(grid.flat)[1:] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("p, b, q, want", [
         (0.0, 1.5, 2.0, 0.0),
@@ -406,6 +409,99 @@ class TestSplitFactorOverflow:
     def test_sample_has_no_nan(self, params, want):
         xs = new_distribution(params).sample(1000, 5)
         assert not np.isnan(xs).any() and (xs > params.x0).all()
+
+
+def _mp_reference(params, delta):
+    """pdf, log_pdf, cdf, sf and hazard at x0 + delta, with y = delta/c
+    taken exactly; ln(1 - w) = ln(1 - (1 + y^b/k)^(-q)) in stable form."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    p, b, c, q = (mp.inf if v == INF else mp.mpf(v)
+                  for v in (params.p, params.b, params.c, params.q))
+    ln_y = mp.log(mp.mpf(delta) / c)
+    core = mp.log(abs(b) * q / c)
+    if p == mp.inf:
+        s = mp.exp(-b * q * ln_y)
+        core += (-b * q - 1) * ln_y
+        ln_pdf, ln_plus, ln_hazard_neg = core - s, -s, core
+    else:
+        ln_k = -mp.log1p(p) / q
+        ln_1pt = mp.log1p(mp.exp(b * ln_y - ln_k))
+        ln_w = -q * ln_1pt
+        ln_1mw = (mp.log1p(-mp.exp(ln_w)) if ln_w < -1
+                  else mp.log(-mp.expm1(ln_w)))
+        core += (b - 1) * ln_y - (q + 1) * (ln_k + ln_1pt)
+        ln_pdf, ln_plus = core + p * ln_1mw, (p + 1) * ln_1mw
+        ln_hazard_neg = core - ln_1mw
+    plus, minus = mp.exp(ln_plus), -mp.expm1(ln_plus)
+    cdf, sf = (plus, minus) if b > 0 else (minus, plus)
+    hazard = (mp.exp(ln_pdf - mp.log(sf)) if b > 0
+              else mp.exp(ln_hazard_neg))
+    return {"pdf": mp.exp(ln_pdf), "log_pdf": ln_pdf, "cdf": cdf, "sf": sf,
+            "hazard": hazard}
+
+
+class TestFarRange:
+    """(x - x0)/c leaves the doubles while x is finite: ln y is then
+    ln(x - x0) - ln c.  References from 50-digit mpmath."""
+
+    CASES = [
+        (IFParams(0.0, 0.01, 1e-3, 0.05, 0.0), 1e306, {
+            "pdf": 3.5002534851476803e-310, "log_pdf": -712.5485434379534,
+            "cdf": 0.29938028040105643, "sf": 0.70061971959894357,
+            "hazard": 4.9959391482034417e-310}),
+        (IFParams(0.0, 2.2, 1e-3, 1.7, 0.0), 1e306, {
+            "log_pdf": -3364.2774414142505, "hazard": 3.74e-306}),
+        (IFParams(INF, 1.5, 1e-3, 2.0, 0.0), 1e306, {
+            "log_pdf": -2837.9888073729902, "hazard": 3.0e-306}),
+        (IFParams(0.5, 1.5, 1e-3, 2.0, 0.0), 1e307, {
+            "log_pdf": -2847.1991477449664, "hazard": 3.0e-307}),
+        (IFParams(0.0, 0.5, 1e300, 2.0, 0.0), 1e-30, {
+            "pdf": 9.9999999999999993e-136, "log_pdf": -310.84898755419617,
+            "cdf": 2.0e-165, "sf": 1.0, "hazard": 9.9999999999999993e-136}),
+        (IFParams(0.0, -0.5, 1e300, 2.0, 0.0), 1e-30, {
+            "pdf": 9.9999999999999995e-301, "log_pdf": -690.77552789821371,
+            "sf": 1.0}),
+    ]
+
+    @pytest.mark.parametrize("params, delta, want", CASES)
+    def test_x_forms(self, params, delta, want):
+        d = new_distribution(params)
+        x = params.x0 + delta
+        for name, value in want.items():
+            fn = getattr(d, name)
+            assert fn(x) == pytest.approx(value, rel=1e-12), name
+            assert fn(np.array([x]))[0] == pytest.approx(value, rel=1e-12), name
+
+    @pytest.mark.parametrize("params, delta, want", CASES)
+    def test_offset_forms(self, params, delta, want):
+        # x0 = 3 cannot hold the tiny offsets, so only the offset forms see them
+        pa = IFParams(params.p, params.b, params.c, params.q, 3.0)
+        d = new_distribution(pa)
+        offset = {"pdf": d.pdf_offset, "log_pdf": d.log_pdf_offset,
+                  "cdf": d.cdf_offset, "sf": d.sf_offset}
+        for name, value in want.items():
+            if name in offset:
+                assert offset[name](delta) == pytest.approx(value, rel=1e-12), name
+
+    @pytest.mark.parametrize("params, delta, want", CASES)
+    def test_references_match_mpmath(self, params, delta, want):
+        ref = _mp_reference(params, delta)
+        for name, value in want.items():
+            assert float(ref[name]) == pytest.approx(value, rel=1e-15), name
+
+    def test_cdf_of_quantile(self):
+        d = new_distribution(IFParams(0.0, 0.01, 1e-3, 0.05, 0.0))
+        assert d.quantile(0.3) > 1e306
+        assert d.cdf(d.quantile(0.3)) == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "b < 0 at finite p: ln G = logaddexp(ln k, b ln y) rounds to ln k in "
+        "the far right tail, so ln(1 - w) is lost; the ln t form of ROADMAP "
+        "item 1 fixes it"))
+    def test_b_negative_far_right_tail(self):
+        d = new_distribution(IFParams(0.5, -1.5, 1e-3, 2.0, 0.0))
+        assert d.hazard(1e306) == pytest.approx(2.25e-306, rel=1e-12)
 
 
 class TestDistributionInvariants:
