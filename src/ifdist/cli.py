@@ -7,11 +7,13 @@ printed with 17 significant digits so files round-trip to the exact doubles.
 
 The distribution is selected either by the five raw flags
 
-    --p (accepts the literal "inf") --b --c --q --x0
+    --p --b --c --q --x0
 
-or by --dist NAME plus that entry's own flags (see `ifdist catalog list`);
-the two styles are mutually exclusive.  A flat key=value file with keys
-p, b, c, q, x0 can be supplied via --params; raw flags override file values.
+(read as Python's float reads numbers, so p may be inf) or by --dist NAME
+plus that entry's own flags (see `ifdist catalog list`); the two styles are
+mutually exclusive, and --gamma/--m go only with --dist.  A flat key=value
+file with keys p, b, c, q, x0 can be supplied via --params; raw flags
+override file values.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import math
 import sys
 import time
 import zlib
-from itertools import product
+from dataclasses import replace
+from itertools import product, repeat
 
 import numpy as np
 
@@ -36,6 +39,11 @@ __all__ = ["main"]
 
 _RAW_KEYS = ("p", "b", "c", "q", "x0")
 _ENTRY_KEYS = _RAW_KEYS + ("gamma", "m")
+
+# 17 significant digits: every printed double reads back to itself
+_DIGITS = ".17g"
+# rows per chunk of the CSV writer: bounded memory on 1e6-row samples
+_CHUNK_ROWS = 1024
 
 # the density-sweep base point: every parameter fixed unless varied/overridden
 _CURVE_BASE = {"p": 1.0, "b": 1.0, "c": 200.0, "q": 2.0, "x0": 0.0}
@@ -61,16 +69,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+    return format(float(v), _DIGITS)
 
 
-def _parse_p(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
-    try:
-        return float(text)
-    except ValueError:
-        raise _UsageError(f"cannot parse p value {text!r}")
+def _write_csv(fh, header: list[str], columns: list[np.ndarray]) -> None:
+    """The one CSV writer: the header row, then row i of the equal-length
+    float columns.  Whole columns are formatted a bounded chunk of rows at
+    a time, so memory stays flat however long the columns are."""
+    fh.write(",".join(header) + "\n")
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        cells = [map(format, col[lo:lo + _CHUNK_ROWS].tolist(), repeat(_DIGITS))
+                 for col in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -98,56 +108,53 @@ def _read_params_file(path: str) -> dict[str, float]:
             value = value.strip()
             if key not in _RAW_KEYS:
                 raise _UsageError(f"{path}:{lineno}: unknown parameter {key!r}")
-            out[key] = _parse_p(value) if key == "p" else float(value)
+            try:
+                out[key] = float(value)
+            except ValueError:
+                raise _UsageError(
+                    f"{path}:{lineno}: cannot parse {key} value {value!r}")
     return out
 
 
-def _raw_values(ns, base: dict[str, float]) -> dict[str, float]:
-    """The raw parameters: base, then the --params file, then the flags."""
-    values = dict(base)
+def _build_params(ns, base: dict[str, float] | None = None) -> IFParams:
+    """The selected point: the named entry at its own flags, or base, then
+    the --params file, then the raw flags p, b, c, q, x0.  Each given flag
+    is checked against the style in use."""
+    if ns.dist is not None and ns.params is not None:
+        raise _UsageError("--dist and --params are mutually exclusive")
+    allowed = (_RAW_KEYS if ns.dist is None
+               else [name for name, _ in cat.entry(ns.dist).free_parameters])
+    given = {}
+    for key in _ENTRY_KEYS:
+        val = getattr(ns, key)
+        if val is None:
+            continue
+        if key not in allowed:
+            if ns.dist is None:
+                raise _UsageError(f"--{key} goes only with --dist")
+            if key == "p":
+                raise _UsageError("--dist and --p are mutually exclusive; "
+                                  "named entries pin p themselves")
+            raise _UsageError(f"--{key} is not a parameter of {ns.dist}")
+        given[key] = val
+    if ns.dist is not None:
+        return cat.named(ns.dist, **given)
+    values = dict(base or {})
     if ns.params is not None:
         values.update(_read_params_file(ns.params))
-    if ns.p is not None:
-        values["p"] = _parse_p(ns.p)
-    for key in ("b", "c", "q", "x0"):
-        val = getattr(ns, key)
-        if val is not None:
-            values[key] = val
-    return values
-
-
-def _build_params(ns) -> IFParams:
-    if ns.dist is not None:
-        if ns.params is not None:
-            raise _UsageError("--dist and --params are mutually exclusive")
-        e = cat.entry(ns.dist)
-        expected = [name for name, _ in e.free_parameters]
-        provided = {}
-        for key in _ENTRY_KEYS:
-            val = getattr(ns, key)
-            if val is None:
-                continue
-            if key not in expected:
-                if key == "p":
-                    raise _UsageError("--dist and --p are mutually exclusive; "
-                                      "named entries pin p themselves")
-                raise _UsageError(f"--{key} is not a parameter of {ns.dist}")
-            provided[key] = _parse_p(val) if key == "p" else val
-        return cat.named(ns.dist, **provided)
-
-    values = _raw_values(ns, {})
+    values.update(given)
     missing = [k for k in _RAW_KEYS if k not in values]
     if missing:
         raise _UsageError("missing parameter flags: "
                           + ", ".join(f"--{k}" for k in missing))
-    return IFParams(values["p"], values["b"], values["c"], values["q"],
-                    values["x0"])
+    return IFParams(**values)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ifdist", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--p", help='interpolation parameter, "inf" allowed')
+    parser.add_argument("--p", type=float,
+                        help='interpolation parameter, "inf" allowed')
     parser.add_argument("--b", type=float, help="shape/skewness, nonzero")
     parser.add_argument("--c", type=float, help="scale, positive")
     parser.add_argument("--q", type=float, help="tail-weight, positive")
@@ -205,12 +212,10 @@ def _build_parser() -> _Parser:
 
 def _cmd_eval(ns) -> int:
     d = IFDistribution(_build_params(ns))
-    pts = _parse_floats(ns.at)
+    pts = np.array(_parse_floats(ns.at))
     fn = {"pdf": d.pdf, "logpdf": d.log_pdf, "cdf": d.cdf, "sf": d.survival,
           "hazard": d.hazard, "quantile": d.quantile}[ns.what]
-    print("x,value")
-    for x in pts:
-        print(f"{_fmt(x)},{_fmt(fn(x))}")
+    _write_csv(sys.stdout, ["x", "value"], [pts, fn(pts)])
     return 0
 
 
@@ -226,12 +231,9 @@ def _cmd_summary(ns) -> int:
         else:
             print(f"{label}=non-existent constraint={res.constraint}")
     mres = modes_mod.mode(params)
-    if mres.kind is modes_mod.ModeKind.INTERIOR:
-        print(f"mode=interior x={_fmt(mres.x)} density={_fmt(mres.density)}")
-    elif mres.kind is modes_mod.ModeKind.BOUNDARY:
-        print(f"mode=boundary x={_fmt(mres.x)}")
-    else:
-        print(f"mode=asymptote-at-boundary x={_fmt(mres.x)}")
+    density = (f" density={_fmt(mres.density)}"
+               if mres.kind is modes_mod.ModeKind.INTERIOR else "")
+    print(f"mode={mres.kind.value} x={_fmt(mres.x)}{density}")
     return 0
 
 
@@ -241,43 +243,25 @@ def _cmd_sample(ns) -> int:
         raise _UsageError("--n must be nonnegative")
     xs = d.sample(ns.n, ns.seed)
     with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("value\n")
-        for v in xs:
-            fh.write(_fmt(v) + "\n")
+        _write_csv(fh, ["value"], [xs])
     return 0
 
 
-def _curve_base(ns) -> dict[str, float]:
-    if ns.dist is not None:
-        pa = _build_params(ns)
-        return {"p": pa.p, "b": pa.b, "c": pa.c, "q": pa.q, "x0": pa.x0}
-    return _raw_values(ns, _CURVE_BASE)
-
-
 def _cmd_curve(ns) -> int:
-    base = _curve_base(ns)
+    base = _build_params(ns, _CURVE_BASE)
     rng = _parse_floats(ns.x_range)
     if len(rng) != 3 or not rng[2].is_integer() or rng[2] < 2 or rng[0] >= rng[1]:
         raise _UsageError("--x-range expects LO,HI,N with LO < HI and N >= 2")
-    if ns.vary != "x0" and rng[0] < base["x0"]:
-        raise _UsageError(f"--x-range must start at or above x0 = {base['x0']}")
+    if ns.vary != "x0" and rng[0] < base.x0:
+        raise _UsageError(f"--x-range must start at or above x0 = {base.x0}")
     xs = np.linspace(rng[0], rng[1], int(rng[2]))
-    if ns.vary == "p":
-        values = [_parse_p(tok) for tok in ns.values.split(",") if tok != ""]
-    else:
-        values = _parse_floats(ns.values)
+    values = _parse_floats(ns.values)
     if not values:
         raise _UsageError("--values must name at least one sweep value")
-    columns = []
-    for v in values:
-        kw = dict(base)
-        kw[ns.vary] = v
-        columns.append(IFDistribution(IFParams(**kw)).pdf(xs))
-    header = "x," + ",".join(
-        f"{ns.vary}={'inf' if math.isinf(v) else _fmt(v)}" for v in values)
-    print(header)
-    for i, x in enumerate(xs):
-        print(_fmt(x) + "," + ",".join(_fmt(col[i]) for col in columns))
+    columns = [IFDistribution(replace(base, **{ns.vary: v})).pdf(xs)
+               for v in values]
+    _write_csv(sys.stdout, ["x"] + [f"{ns.vary}={_fmt(v)}" for v in values],
+               [xs] + columns)
     return 0
 
 
@@ -285,10 +269,12 @@ def _cmd_modegrid(ns) -> int:
     params = _build_params(ns)
 
     def parse_axis(text):
-        parts = text.split(",")
-        if len(parts) != 3:
+        name, *bounds = text.split(",")
+        try:
+            lo, hi = map(float, bounds)
+        except ValueError:
             raise _UsageError("--axis expects NAME,LO,HI")
-        return parts[0].strip(), float(parts[1]), float(parts[2])
+        return name.strip(), lo, hi
 
     axis1 = parse_axis(ns.axis1)
     axis2 = parse_axis(ns.axis2)
@@ -299,9 +285,8 @@ def _cmd_modegrid(ns) -> int:
                                (int(steps[0]), int(steps[1])))
     v1 = np.linspace(axis1[1], axis1[2], int(steps[0]))
     v2 = np.linspace(axis2[1], axis2[2], int(steps[1]))
-    print(f"{axis1[0]}\\{axis2[0]}," + ",".join(_fmt(v) for v in v2))
-    for i, v in enumerate(v1):
-        print(_fmt(v) + "," + ",".join(_fmt(cell) for cell in grid[i]))
+    _write_csv(sys.stdout, [f"{axis1[0]}\\{axis2[0]}"] + [_fmt(v) for v in v2],
+               [v1, *grid.T])
     return 0
 
 
@@ -355,6 +340,13 @@ def _check_roundtrip(tol: float):
         yield float(np.max(np.abs(got - _CHECK_LEVELS))), repr(pa)
 
 
+# (lo, width) of each argument's uniform draw in the Table-1 check; b draws
+# from its own range on the rows whose constraint reads "b < 0"
+_TABLE1_DRAWS = {"gamma": (0.15, 0.6), "b": (1.5, 2.5), "b < 0": (-4.0, 2.0),
+                 "m": (1.5, 2.5), "q": (1.7, 2.5), "c": (0.5, 3.0),
+                 "x0": (0.0, 1.5), "p": (0.5, 3.0)}
+
+
 def _table1_check_args(name: str) -> list[dict[str, float]]:
     # deterministic in-constraint draws per tabled row (crc32, not hash():
     # string hashing is randomized per process)
@@ -364,21 +356,8 @@ def _table1_check_args(name: str) -> list[dict[str, float]]:
     for _ in range(3):
         args = {}
         for pname, constraint in e.free_parameters:
-            if pname == "gamma":
-                args[pname] = 0.15 + 0.6 * next(u)
-            elif pname == "b":
-                args[pname] = (-4.0 + 2.0 * next(u) if "b < 0" in constraint
-                               else 1.5 + 2.5 * next(u))
-            elif pname == "m":
-                args[pname] = 1.5 + 2.5 * next(u)
-            elif pname == "q":
-                args[pname] = 1.7 + 2.5 * next(u)
-            elif pname == "c":
-                args[pname] = 0.5 + 3.0 * next(u)
-            elif pname == "x0":
-                args[pname] = 1.5 * next(u)
-            elif pname == "p":
-                args[pname] = 0.5 + 3.0 * next(u)
+            lo, width = _TABLE1_DRAWS["b < 0" if constraint == "b < 0" else pname]
+            args[pname] = lo + width * next(u)
         out.append(args)
     return out
 
@@ -458,10 +437,7 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return _COMMANDS[ns.command](ns)
-    except _UsageError as exc:
-        print(f"ifdist: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
+    except (_UsageError, DomainError) as exc:
         print(f"ifdist: {exc}", file=sys.stderr)
         return 1
     except NumericFailure as exc:

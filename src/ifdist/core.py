@@ -178,9 +178,13 @@ def g_big(params: IFParams, x):
     xs, unwrap = _coerce(x)
     if (xs < params.x0).any():
         raise DomainError("g_big requires x >= x0")
-    y = (xs - params.x0) / params.c
-    with np.errstate(divide="ignore"):
+    ds = xs - params.x0
+    with np.errstate(all="ignore"):
+        y = ds / params.c
         powered = np.power(y, params.b)
+        # y^b as exp(b ln y) where y leaves the normal doubles and ds does not
+        far = ((y < _TINY) | (y == math.inf)) & (ds > 0) & (ds < math.inf)
+        powered[far] = np.exp(params.b * d._ln_y(ds[far]))
     k = 0.0 if math.isinf(params.p) else math.exp(d._ln_k)
     return unwrap(k + powered)
 
@@ -225,31 +229,32 @@ class IFDistribution:
 
     # -- boundary behavior ---------------------------------------------------
 
+    def _boundary_exponent(self) -> float:
+        """The local exponent e of the density at x -> x0+, f ~ y^e: e > 0
+        means 0, e < 0 divergence, e = 0 a finite positive limit.
+
+        For b > 0 the density grows like y^(b(p+1)-1) near the boundary
+        (exponent +inf at p = inf), for b < 0 like y^(-bq-1) independent of p.
+        """
+        if self.b > 0:
+            return self.b * (self.p + 1.0) - 1.0
+        return -self.b * self.q - 1.0
+
     def _boundary_density(self) -> float:
         """Limit of the density at x -> x0+ (0, a finite constant, or +inf).
-
-        Local exponent analysis: for b > 0 the density grows like
-        y^(b(p+1)-1) near the boundary (exponent +inf at p = inf), for b < 0
-        like y^(-bq-1) independent of p.
-        """
+        A finite limit beyond the doubles reads inf, and one below them 0."""
+        e = self._boundary_exponent()
+        if e != 0:
+            return 0.0 if e > 0 else math.inf
         b, q, c, p = self.b, self.q, self.c, self.p
-        if b > 0:
-            if self._inf_p:
-                return 0.0
-            e = b * (p + 1.0) - 1.0
-            if e > 0:
-                return 0.0
-            if e < 0:
-                return math.inf
-            ln_val = (math.log(b) + (p + 1.0) * math.log(q)
-                      + ((p + q + 1.0) / q) * math.log1p(p) - math.log(c))
+        if b < 0:
+            return 1.0 / c
+        ln_val = (math.log(b) + (p + 1.0) * math.log(q)
+                  + ((p + q + 1.0) / q) * math.log1p(p) - math.log(c))
+        try:
             return math.exp(ln_val)
-        e = -b * q - 1.0
-        if e > 0:
-            return 0.0
-        if e < 0:
+        except OverflowError:
             return math.inf
-        return 1.0 / c
 
     # -- the one path from the offset to the log terms ------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,13 +89,13 @@ def boundary_behavior(params: IFParams) -> BoundaryBehavior:
     Near the boundary the density scales like y^(b(p+1)-1) for b > 0 (with
     exponent +inf at p = inf) and like y^(-bq-1) for b < 0, so the sign of
     that local exponent decides between divergence, a finite limit and zero.
+    A finite limit keeps its kind where its value leaves the doubles.
     """
-    value = IFDistribution(params)._boundary_density()
-    if value == math.inf:
-        return BoundaryBehavior(BoundaryKind.DIVERGES, value)
-    if value == 0.0:
-        return BoundaryBehavior(BoundaryKind.ZERO, value)
-    return BoundaryBehavior(BoundaryKind.FINITE, value)
+    d = IFDistribution(params)
+    e = d._boundary_exponent()
+    kind = (BoundaryKind.ZERO if e > 0 else BoundaryKind.DIVERGES if e < 0
+            else BoundaryKind.FINITE)
+    return BoundaryBehavior(kind, d._boundary)
 
 
 def _residual_factory(params: IFParams):
@@ -233,14 +233,9 @@ def mode_grid(template: IFParams, axis1: tuple[str, float, float],
     vals1 = np.linspace(lo1, hi1, n1)
     vals2 = np.linspace(lo2, hi2, n2)
     out = np.empty((n1, n2))
-    base = {"p": template.p, "b": template.b, "c": template.c,
-            "q": template.q, "x0": template.x0}
     for i, v1 in enumerate(vals1):
         for j, v2 in enumerate(vals2):
-            kw = dict(base)
-            kw[name1] = float(v1)
-            kw[name2] = float(v2)
-            res = mode(IFParams(**kw))
+            res = mode(replace(template, **{name1: float(v1), name2: float(v2)}))
             if res.kind is ModeKind.BOUNDARY:
                 out[i, j] = MODE_AT_BOUNDARY
             elif res.kind is ModeKind.ASYMPTOTE:

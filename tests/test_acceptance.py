@@ -41,6 +41,12 @@ def report(num, ok, detail):
     assert ok, detail
 
 
+def worse(dev, worst):
+    """Whether dev replaces worst as a criterion's worst deviation: NaN is
+    worse than any number, and a NaN worst stays."""
+    return not (dev <= worst or math.isnan(worst))
+
+
 def test_criterion_1_normalization():
     t0 = time.monotonic()
     worst, where = 0.0, None
@@ -50,7 +56,7 @@ def test_criterion_1_normalization():
         dev = abs(r.value - 1.0)
         if not r.converged:
             dev = max(dev, r.abs_error_estimate)
-        if dev > worst:
+        if worse(dev, worst):
             worst, where = dev, pa
     elapsed = time.monotonic() - t0
     report(1, worst <= 1e-6 and elapsed < 60.0,
@@ -65,7 +71,7 @@ def test_criterion_2_roundtrip():
         d = IFDistribution(pa)
         dev = float(np.max(np.abs(
             d.cdf_offset(d.quantile_offset(LEVELS)) - LEVELS)))
-        if dev > worst:
+        if worse(dev, worst):
             worst, where = dev, pa
     elapsed = time.monotonic() - t0
     report(2, worst <= 1e-9 and elapsed < 10.0,
@@ -119,7 +125,7 @@ def test_criterion_3_mean_table():
         defined_rows += 1
         num = _numeric_moment(named(name, **args), 1)
         dev = abs(closed.value - num.value) / (1.0 + abs(closed.value))
-        if dev > worst:
+        if worse(dev, worst):
             worst, where = dev, name
     # the non-defined semantics: inverse exponential plus forced violations
     assert not table1_mean("inverse_exponential", c=1.0).exists
@@ -194,7 +200,8 @@ def test_criterion_5_mode_closed_forms():
             dev = abs(got - pa.x0) / pa.c
         else:
             dev = abs(got - res.x) / pa.c
-        worst = max(worst, dev)
+        if worse(dev, worst):
+            worst = dev
 
     # IF1: random b straddling all regimes plus the exact boundary cases
     for i in range(50):
@@ -255,12 +262,14 @@ def test_criterion_6_interpolation():
         d0 = IFDistribution(IFParams(0.0, b, c, q, x0))
         dp0 = IFDistribution(IFParams(1e-12, b, c, q, x0))
         pts = d0.quantile(probe)
-        worst_lo = max(worst_lo, float(np.max(np.abs(dp0.pdf(pts) / d0.pdf(pts) - 1))))
+        dev = float(np.max(np.abs(dp0.pdf(pts) / d0.pdf(pts) - 1)))
+        worst_lo = dev if worse(dev, worst_lo) else worst_lo
 
         di = IFDistribution(IFParams(INF, b, c, q, x0))
         dpi = IFDistribution(IFParams(1e6, b, c, q, x0))
         pts = di.quantile(probe)
-        worst_hi = max(worst_hi, float(np.max(np.abs(dpi.pdf(pts) / di.pdf(pts) - 1))))
+        dev = float(np.max(np.abs(dpi.pdf(pts) / di.pdf(pts) - 1)))
+        worst_hi = dev if worse(dev, worst_hi) else worst_hi
     report(6, worst_lo <= 1e-8 and worst_hi <= 1e-4,
            f"interpolation: p=1e-12 vs p=0 worst {worst_lo:.3e} (tol 1e-8), "
            f"p=1e6 vs p=inf worst {worst_hi:.3e} (tol 1e-4), "
@@ -295,7 +304,7 @@ def test_criterion_7_monte_carlo():
         xs = IFDistribution(pa).sample(n, seed=4242)
         se = xs.std() / math.sqrt(n)
         z = abs(xs.mean() - want.value) / se
-        if z > worst_z:
+        if worse(z, worst_z):
             worst_z, where = z, name
     # determinism of the whole pipeline for a fixed seed
     pa = named("rayleigh", c=1.5)
@@ -320,14 +329,14 @@ def test_criterion_8_scale_and_location_laws(capsys):
                                  "--x-range", "1,801,41"])
     f_2c = _curve_values(capsys, ["curve", "--vary", "c", "--values", "400",
                                   "--x-range", "2,1602,41"])
-    worst_scale = max(abs(b - a / 2.0) / (a / 2.0)
-                      for a, b in zip(f_c, f_2c))
+    worst_scale = float(np.max([abs(b - a / 2.0) / (a / 2.0)
+                                for a, b in zip(f_c, f_2c)]))  # NaN propagates
 
     f_0 = _curve_values(capsys, ["curve", "--vary", "x0", "--values", "0",
                                  "--x-range", "1,601,31"])
     f_s = _curve_values(capsys, ["curve", "--vary", "x0", "--values", "64",
                                  "--x-range", "65,665,31"])
-    worst_shift = max(abs(b - a) / a for a, b in zip(f_0, f_s))
+    worst_shift = float(np.max([abs(b - a) / a for a, b in zip(f_0, f_s)]))
     report(8, worst_scale <= 1e-10 and worst_shift <= 1e-10,
            f"curve output laws: scale identity worst {worst_scale:.3e}, "
            f"shift identity worst {worst_shift:.3e} (tol 1e-10)")
@@ -340,14 +349,15 @@ def test_criterion_9_general_mode_solver():
             pa = IFParams(p, 1.0, 1.0, q, 0.0)
             roots = solve_mode_equation(pa)
             assert len(roots) == 1
-            worst_if3 = max(worst_if3,
-                            abs(mode_x_from_t(pa, roots[0]) - mode(pa).x))
+            dev = abs(mode_x_from_t(pa, roots[0]) - mode(pa).x)
+            worst_if3 = dev if worse(dev, worst_if3) else worst_if3
     worst_lim = 0.0
     for q in (0.5, 1.0, 1.5):
         pa = IFParams(1e6, 1.0, 1.0, q, 0.0)
         solved = mode_x_from_t(pa, solve_mode_equation(pa)[0])
         frechet = mode(IFParams(INF, 1.0, 1.0, q, 0.0)).x
-        worst_lim = max(worst_lim, abs(solved - frechet))
+        dev = abs(solved - frechet)
+        worst_lim = dev if worse(dev, worst_lim) else worst_lim
     report(9, worst_if3 <= 1e-9 and worst_lim <= 1e-3,
            f"general-p mode solver: vs IF3 closed form worst {worst_if3:.3e} "
            f"(tol 1e-9); p=1e6 vs Frechet worst {worst_lim:.3e} (tol 1e-3 c)")

@@ -62,6 +62,13 @@ class TestEval:
                            "eval", "--what", "logpdf", "--at", "0.5")
         assert code == 1 and "log_pdf" in err
 
+    def test_domain_error_writes_no_rows(self, capsys):
+        # every point is evaluated before the first row is written
+        code, out, err = run(capsys, "--p", "1", "--b", "2", "--c", "1",
+                             "--q", "3", "--x0", "1",
+                             "eval", "--what", "logpdf", "--at", "2,0.5,3")
+        assert code == 1 and out == "" and "log_pdf" in err
+
 
 class TestParamSelection:
     def test_missing_flags(self, capsys):
@@ -115,6 +122,29 @@ class TestParamSelection:
         f.write_text("alpha = 2\n")
         code, _, err = run(capsys, "--params", str(f), "summary")
         assert code == 1 and "unknown parameter" in err
+
+    def test_params_file_bad_number(self, capsys, tmp_path):
+        f = tmp_path / "pars.txt"
+        f.write_text("p = 1\nb = abc\nc = 1\nq = 1\nx0 = 0\n")
+        code, out, err = run(capsys, "--params", str(f), "summary")
+        assert code == 1 and out == ""
+        assert err == f"ifdist: {f}:2: cannot parse b value 'abc'\n"
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--m"])
+    def test_entry_flag_needs_dist(self, capsys, flag):
+        code, out, err = run(capsys, flag, "2", "--p", "1", "--b", "1", "--c", "1",
+                             "--q", "2", "--x0", "0", "summary")
+        assert code == 1 and out == "" and f"{flag} goes only with --dist" in err
+
+    def test_p_reads_like_every_number(self, capsys):
+        raw = ["--b", "1.5", "--c", "1", "--q", "2", "--x0", "0", "eval",
+               "--what", "pdf", "--at", "0.5,1,2"]
+        want = run(capsys, "--p", "inf", *raw)
+        assert want[0] == 0
+        for spelling in ("Infinity", "INF", " inf"):
+            assert run(capsys, "--p", spelling, *raw) == want
+        code, _, err = run(capsys, "--p", "abc", *raw)
+        assert code == 1 and "invalid float value: 'abc'" in err
 
 
 class TestSummary:
@@ -266,6 +296,14 @@ class TestModeGrid:
                            "--q", "1", "--x0", "0", "modegrid",
                            "--axis1", "zz,1,2", "--axis2", "q,1,2")
         assert code == 1
+
+    @pytest.mark.parametrize("axis", ["b,abc,3", "b,1,", "b,1", "b,1,2,3"])
+    def test_bad_axis_numbers(self, capsys, axis):
+        code, out, err = run(capsys, "--p", "0", "--b", "2", "--c", "1",
+                             "--q", "1", "--x0", "0", "modegrid",
+                             "--axis1", axis, "--axis2", "q,1,2")
+        assert code == 1 and out == ""
+        assert err == "ifdist: --axis expects NAME,LO,HI\n"
 
 
 class TestCatalog:

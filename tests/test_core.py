@@ -144,6 +144,24 @@ class TestGBig:
         with pytest.raises(DomainError):
             g_big(IFParams(0.0, 1.0, 1.0, 1.0, 1.0), 0.5)
 
+    @pytest.mark.parametrize("params, x, want", [
+        # (x - x0)/c overflows, then underflows; 40-digit mpmath references
+        (IFParams(0.0, 0.01, 1e-3, 0.05, 0.0), 1e306, 1231.2687708123817),
+        (IFParams(0.0, -0.5, 1e300, 0.05, 0.0), 1e-30, 9.9999999999999998e164),
+    ])
+    def test_far_range(self, params, x, want):
+        with np.errstate(all="raise"):
+            assert g_big(params, x) == pytest.approx(want, rel=1e-12)
+            assert g_big(params, [x])[0] == pytest.approx(want, rel=1e-12)
+
+    def test_power_bits_kept_in_range(self):
+        # x = x0 and every offset whose y is a normal double keep np.power's bits
+        pa = IFParams(2.0, -0.7, 3.0, 1.5, 0.0)
+        x = np.array([0.0, 1e-300, 1e-5, 0.3, 1.0, 7.0, 1e5, 1e300])
+        with np.errstate(divide="ignore"):
+            want = math.exp(-math.log1p(2.0) / 1.5) + np.power(x / 3.0, -0.7)
+        assert np.array_equal(g_big(pa, x), want)
+
 
 class TestPdf:
     def test_exponential(self):

@@ -49,6 +49,18 @@ class TestBoundaryBehavior:
             assert bb.kind is BoundaryKind.FINITE
             assert bb.value == pytest.approx(1.0 / 7.0, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1100.0, 3000.0, 2.0 ** 60])
+    def test_finite_limit_beyond_the_doubles(self, p):
+        # b (p+1) - 1 rounds to exactly 0, and the finite limit exceeds the
+        # largest double: the kind stays FINITE, and the mode is x0
+        pa = IFParams(p, 1.0 / (p + 1.0), 1.0, 2.0, 0.0)
+        assert pa.b * (pa.p + 1.0) - 1.0 == 0.0
+        bb = boundary_behavior(pa)
+        assert bb.kind is BoundaryKind.FINITE and bb.value == INF
+        assert IFDistribution(pa).pdf(0.0) == INF
+        res = mode(pa)
+        assert res.kind is ModeKind.BOUNDARY and res.x == 0.0
+
     def test_consistent_with_pdf_at_x0(self):
         cases = [
             IFParams(0.0, 0.7, 1.0, 0.5, 1.0),
