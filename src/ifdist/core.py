@@ -212,7 +212,10 @@ class IFDistribution:
         self.q = float(params.q)
         self.x0 = float(params.x0)
         self._inf_p = math.isinf(self.p)
-        self._ln_coef = math.log(abs(self.b) * self.q / self.c)
+        coef = abs(self.b) * self.q / self.c
+        # the product leaves the normal doubles for extreme parameters
+        self._ln_coef = (math.log(coef) if _TINY <= coef < math.inf else
+                         math.log(abs(self.b)) + math.log(self.q) - math.log(self.c))
         # ln k with k = (p+1)^(-1/q); -inf at p = inf so logaddexp degrades
         # gracefully to ln G = b ln y
         self._ln_k = -math.inf if self._inf_p else -math.log1p(self.p) / self.q
@@ -356,6 +359,8 @@ class IFDistribution:
                 out[pos] = np.exp(ln_plus)
             else:
                 out[pos] = -np.expm1(ln_plus)
+        # the limits; at b < 0 the form above can round to NaN there
+        out[ds == math.inf] = 1.0 if lower else 0.0
         out[np.isnan(ds)] = np.nan
         return unwrap(out)
 
@@ -425,7 +430,11 @@ class IFDistribution:
         if p == 0.0:
             return _power_offset(c, 0.0, -ln_1my / q, 1.0 / b)
         u = -np.expm1(ln_y / (p + 1.0))          # 1 - y^(1/(p+1))
-        return _power_offset(c, -math.log1p(p) / (b * q), -np.log(u) / q, 1.0 / b)
+        low = u == 1.0                           # deep in the lower tail
+        z = np.log(u, out=u)                     # in place: no 1e6-element temporary
+        z[low] = np.log1p(-np.exp(ln_y[low] / (p + 1.0)))
+        z /= -q
+        return _power_offset(c, -math.log1p(p) / (b * q), z, 1.0 / b)
 
     def quantile_offset(self, y):
         """quantile(y) - x0 without forming x, so offsets far below the

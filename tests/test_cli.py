@@ -34,6 +34,15 @@ class TestEval:
         assert code == 0
         assert out.splitlines()[1] == "0,0"
 
+    @pytest.mark.parametrize("what, limit", [("cdf", "1"), ("sf", "0")])
+    def test_limits_at_inf(self, capsys, what, limit):
+        # b < 0 at finite p: the finite-x form rounds to NaN at x = inf
+        code, out, _ = run(capsys, "--p", "3", "--b", "-2", "--c", "1",
+                           "--q", "1.3", "--x0", "0",
+                           "eval", "--what", what, "--at", "2,inf")
+        assert code == 0
+        assert out.splitlines()[2] == f"inf,{limit}"
+
     def test_quantile_one_prints_inf(self, capsys):
         code, out, _ = run(capsys, "--dist", "lomax", "--c", "1", "--q", "2",
                            "eval", "--what", "quantile", "--at", "1")
@@ -369,8 +378,24 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_numeric_failure_exits_2(self, capsys):
-        # bq = 1.01: the mean exists but most of its mass lies beyond the
-        # float range, so the moment quadrature honestly refuses to converge
-        code, _, err = run(capsys, "--p", "0.5", "--b", "1.5", "--c", "1",
-                           "--q", "0.6733333333", "--x0", "0", "summary")
+        # the density rounds to NaN near x0 here, so the moment quadrature
+        # raises (ROADMAP item 1)
+        code, _, err = run(capsys, "--p", "6.110284993404673",
+                           "--b", "2.2938144691702855", "--c", "1.823280400491926",
+                           "--q", "3.400199961998661", "--x0", "0.8293116987113416",
+                           "summary")
         assert code == 2 and "numeric failure" in err
+
+    def test_mean_beyond_the_float_range_answered(self, capsys):
+        # bq = 1.01: most of the mean's mass lies beyond the largest double,
+        # so the x-space quadrature cannot finish and the [0, 1] form answers;
+        # E[X] = 100.50606645257416 from 50-digit mpmath
+        code, out, _ = run(capsys, "--p", "0.5", "--b", "1.5", "--c", "1",
+                           "--q", "0.6733333333", "--x0", "0", "summary")
+        assert code == 0
+        lines = out.splitlines()
+        value, provenance = lines[2].split(" ")
+        assert provenance == "provenance=unit-interval"
+        assert float(value.split("=")[1]) == pytest.approx(100.50606645257416,
+                                                           rel=1e-12)
+        assert lines[3] == "variance=non-existent constraint=requires r < bq"

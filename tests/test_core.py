@@ -522,6 +522,57 @@ class TestFarRange:
         assert d.hazard(1e306) == pytest.approx(2.25e-306, rel=1e-12)
 
 
+class TestExtremeParameters:
+    """Parameters whose derived constants or limits leave the doubles."""
+
+    # |b| q / c underflows to 0, then overflows; log-densities at y = 1
+    # from 50-digit mpmath
+    COEF_CASES = [
+        (IFParams(1e-310, 1.0, 1e100, 1e-300, 0.0), 1e100, -921.7271843781282),
+        (IFParams(0.5, 1e10, 1e-300, 1e10, 0.0), 1e-300, -6931471069.262638),
+    ]
+
+    @pytest.mark.parametrize("params, delta, want", COEF_CASES)
+    def test_density_coefficient_beyond_the_doubles(self, params, delta, want):
+        d = new_distribution(params)
+        assert d.log_pdf_offset(delta) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("params, delta, want", COEF_CASES)
+    def test_coefficient_references_match_mpmath(self, params, delta, want):
+        ref = _mp_reference(params, delta)["log_pdf"]
+        assert float(ref) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("params", [IFParams(3.0, -2.0, 1.0, 1.3, 0.0)]
+                             + GRID[::3])
+    def test_cdf_and_sf_limits_at_inf(self, params):
+        # at b < 0 and finite p the finite-x form can round to NaN there
+        d = new_distribution(params)
+        assert d.cdf(INF) == 1.0 and d.survival(INF) == 0.0
+        assert d.cdf_offset(INF) == 1.0 and d.sf_offset(INF) == 0.0
+        assert list(d.cdf(np.array([params.x0, INF]))) == [0.0, 1.0]
+        assert list(d.sf(np.array([params.x0, INF]))) == [1.0, 0.0]
+
+    def test_lower_tail_quantile(self):
+        # 1 - y^(1/(p+1)) rounds to 1 here; 50-digit mpmath gives the offset
+        # 1.1814940272845318e-18
+        pa = IFParams(0.004263593054679348, 1.0, 0.41753005533152676,
+                      4.168562581055472, 0.0)
+        d = new_distribution(pa)
+        want = 1.1814940272845318e-18
+        assert d.quantile_offset(1e-17) == pytest.approx(want, rel=1e-12, abs=0)
+        assert d.quantile(np.array([1e-17]))[0] == pytest.approx(want, rel=1e-12,
+                                                                 abs=0)
+
+    def test_lower_tail_quantile_reference(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        p, b, c, q = (mp.mpf(v) for v in (0.004263593054679348, 1.0,
+                                           0.41753005533152676, 4.168562581055472))
+        t = mp.mpf(1e-17) ** (1 / (p + 1))
+        want = c * (p + 1) ** (-1 / (b * q)) * mp.expm1(-mp.log1p(-t) / q) ** (1 / b)
+        assert float(want) == pytest.approx(1.1814940272845318e-18, rel=1e-15)
+
+
 class TestDistributionInvariants:
     @pytest.mark.parametrize("params", GRID[::6])
     def test_normalization(self, params):
