@@ -2,10 +2,11 @@
 of specializations.
 
 Every entry maps its own free parameters onto the five family parameters
-(p, b, c, q, x0).  The skew-inverting families (negative b: Weibull,
-Rayleigh, Exponential, Dagum, Lindsay-Burr III) are the mirror twins of the
-positive-b entries and therefore carry no tree edge; the drawn tree covers
-b > 0 only.
+(p, b, c, q, x0).  That map and the Table-1 mean are each stated once, as
+the text `catalog show` prints, and evaluated from it.  The skew-inverting
+families (negative b: Weibull, Rayleigh, Exponential, Dagum, Lindsay-Burr
+III) are the mirror twins of the positive-b entries and therefore carry no
+tree edge; the drawn tree covers b > 0 only.
 
 Naming note: Lindsay-Burr III is often called just Burr III (or Dagum with
 location) elsewhere, and Tadikamalla-Burr XII appears as Burr XII with scale;
@@ -15,14 +16,16 @@ package.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import IFParams
 from .errors import DomainError
 from .kernels import beta, ln_gamma
-from .moments import MomentResult
+from .moments import MomentResult, moment_exists
 
 __all__ = [
     "CatalogEntry",
@@ -39,10 +42,6 @@ __all__ = [
 INF = math.inf
 
 
-def _gamma(x: float) -> float:
-    return math.exp(ln_gamma(x))
-
-
 # The six forms a constraint text of free_parameters takes ("{}" stands
 # for the parameter), each with the test it states and the message a
 # violation prints.
@@ -55,21 +54,41 @@ _CONSTRAINT_FORMS: dict[str, tuple[Callable[[float], bool], str]] = {
     "0 < {} < inf": (lambda v: 0 < v < INF, "must be in (0, inf)"),
 }
 
+# What a formula text (map_text, mean_text, mean_constraint) may name
+# besides its entry's own parameters.  B and Gamma call through this
+# module's names, so that rebinding them here reaches every formula.
+_FORMULA_NAMES = {"__builtins__": {}, "B": lambda x, y: beta(x, y),
+                  "Gamma": lambda x: math.exp(ln_gamma(x)),
+                  "sqrt": math.sqrt, "pi": math.pi, "inf": INF}
+
+# The mean_constraint of a row whose mean exists nowhere in its region.
+_NEVER = "violated"
+
+
+@functools.cache
+def _compiled(text: str):
+    """A formula text as Python: terms side by side (space between) are a
+    product, a name right before "(" is a call, and ^ is a power."""
+    src = re.sub(r"(?<=[\w)])\s+(?=[\w(])", "*", text).replace("^", "**")
+    return compile(src, text, "eval")
+
+
+def _evaluate(text: str, args: dict[str, float]):
+    return eval(_compiled(text), _FORMULA_NAMES, args)
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
     """A named special case: free parameters with constraint texts, and a map
-    onto (p, b, c, q, x0).  check() reads the texts, matches() the map, or
-    `membership` where the arguments (gamma, m) cannot be read from a point."""
+    onto (p, b, c, q, x0) as map_text.  check() reads the texts, matches() the
+    map, or `membership` where the arguments (gamma, m) cannot be read back."""
 
     name: str
     free_parameters: tuple[tuple[str, str], ...]
-    map_text: str              # the (p, b, c, q, x0) image, human readable
-    to_if: Callable[..., IFParams]
+    map_text: str              # the (p, b, c, q, x0) image, as printed
     tree_parent: str | None = None
-    mean_text: str | None = None           # printed mean formula, if tabled
+    mean_text: str | None = None           # the mean formula, as printed
     mean_constraint: str | None = None
-    mean_fn: Callable[..., MomentResult] | None = field(default=None, repr=False)
     in_mean_table: bool = False
     membership: Callable[[IFParams], bool] | None = field(default=None, repr=False)
 
@@ -85,6 +104,10 @@ class CatalogEntry:
             if not test(args[pname]):
                 out.append(f"{pname} {message}")
         return out
+
+    def to_if(self, **args) -> IFParams:
+        """The family point of args, read from map_text."""
+        return IFParams(*map(float, _evaluate(self.map_text, args)))
 
     def matches(self, pa: IFParams) -> bool:
         """Whether pa's own values pass check() and map back onto pa exactly."""
@@ -107,12 +130,6 @@ class CatalogEntry:
         }
 
 
-_mean_cf = MomentResult.closed_form
-
-
-_NOT_DEFINED = MomentResult.non_existent("requires r < bq")
-
-
 _ENTRIES = [
     # ---- four-parameter subfamilies -------------------------------------
     CatalogEntry(
@@ -120,7 +137,6 @@ _ENTRIES = [
         free_parameters=(("b", "b != 0"), ("c", "c > 0"), ("q", "q > 0"),
                          ("x0", "x0 >= 0")),
         map_text="(0, b, c, q, x0)",
-        to_if=lambda b, c, q, x0: IFParams(0.0, b, c, q, x0),
         tree_parent="if",
     ),
     CatalogEntry(
@@ -128,7 +144,6 @@ _ENTRIES = [
         free_parameters=(("b", "b != 0"), ("c", "c > 0"), ("q", "q > 0"),
                          ("x0", "x0 >= 0")),
         map_text="(inf, b, c, q, x0)",
-        to_if=lambda b, c, q, x0: IFParams(INF, b, c, q, x0),
         tree_parent="if",
     ),
     CatalogEntry(
@@ -136,7 +151,6 @@ _ENTRIES = [
         free_parameters=(("p", "0 < p < inf"), ("c", "c > 0"), ("q", "q > 0"),
                          ("x0", "x0 >= 0")),
         map_text="(p, 1, c, q, x0)",
-        to_if=lambda p, c, q, x0: IFParams(p, 1.0, c, q, x0),
         tree_parent="if",
     ),
 
@@ -146,14 +160,10 @@ _ENTRIES = [
         free_parameters=(("gamma", "gamma > 0"), ("c", "c > 0"), ("q", "q > 0"),
                          ("x0", "x0 >= 0")),
         map_text="(0, 1/gamma, c, q, x0)",
-        to_if=lambda gamma, c, q, x0: IFParams(0.0, 1.0 / gamma, c, q, x0),
         membership=lambda pa: pa.p == 0.0 and pa.b > 0,
         tree_parent="if1",
         mean_text="x0 + c q B(q - gamma, 1 + gamma)",
         mean_constraint="gamma < q",
-        mean_fn=lambda gamma, c, q, x0: (
-            _mean_cf(x0 + c * q * beta(q - gamma, 1.0 + gamma))
-            if gamma < q else _NOT_DEFINED),
         in_mean_table=True,
     ),
     CatalogEntry(
@@ -161,112 +171,80 @@ _ENTRIES = [
         free_parameters=(("b", "b < 0"), ("c", "c > 0"), ("q", "q > 0"),
                          ("x0", "x0 >= 0")),
         map_text="(0, b, c, q, x0)",
-        to_if=lambda b, c, q, x0: IFParams(0.0, b, c, q, x0),
         mean_text="x0 + c q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b < -1",
-        mean_fn=lambda b, c, q, x0: (
-            _mean_cf(x0 + c * q * beta(q - 1.0 / b, 1.0 + 1.0 / b))
-            if b < -1 else MomentResult.non_existent("requires r < -b(p+1)")),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="dagum",
         free_parameters=(("b", "b < 0"), ("c", "c > 0"), ("q", "q > 0")),
         map_text="(0, b, c, q, 0)",
-        to_if=lambda b, c, q: IFParams(0.0, b, c, q, 0.0),
         mean_text="c q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b < -1",
-        mean_fn=lambda b, c, q: (
-            _mean_cf(c * q * beta(q - 1.0 / b, 1.0 + 1.0 / b))
-            if b < -1 else MomentResult.non_existent("requires r < -b(p+1)")),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="pareto_ii",
         free_parameters=(("c", "c > 0"), ("q", "q > 0"), ("x0", "x0 >= 0")),
         map_text="(0, 1, c, q, x0)",
-        to_if=lambda c, q, x0: IFParams(0.0, 1.0, c, q, x0),
         tree_parent="if1",
         mean_text="x0 + c / (q - 1)",
         mean_constraint="q > 1",
-        mean_fn=lambda c, q, x0: (_mean_cf(x0 + c / (q - 1.0))
-                                  if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="pareto_iii",
         free_parameters=(("gamma", "gamma > 0"), ("c", "c > 0"), ("x0", "x0 >= 0")),
         map_text="(0, 1/gamma, c, 1, x0)",
-        to_if=lambda gamma, c, x0: IFParams(0.0, 1.0 / gamma, c, 1.0, x0),
         membership=lambda pa: pa.p == 0.0 and pa.b > 0 and pa.q == 1.0,
         tree_parent="if1",
         mean_text="x0 + c Gamma(1 - gamma) Gamma(1 + gamma)",
         mean_constraint="gamma < 1",
-        mean_fn=lambda gamma, c, x0: (
-            _mean_cf(x0 + c * _gamma(1.0 - gamma) * _gamma(1.0 + gamma))
-            if gamma < 1 else _NOT_DEFINED),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="tadikamalla_burr_xii",
         free_parameters=(("b", "b > 0"), ("c", "c > 0"), ("q", "q > 0")),
         map_text="(0, b, c, q, 0)",
-        to_if=lambda b, c, q: IFParams(0.0, b, c, q, 0.0),
         tree_parent="if1",
         mean_text="c q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b q > 1",
-        mean_fn=lambda b, c, q: (
-            _mean_cf(c * q * beta(q - 1.0 / b, 1.0 + 1.0 / b))
-            if b * q > 1 else _NOT_DEFINED),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="pareto_i",
         free_parameters=(("x0", "x0 > 0"), ("q", "q > 0")),
         map_text="(0, 1, x0, q, x0)",
-        to_if=lambda x0, q: IFParams(0.0, 1.0, x0, q, x0),
         tree_parent="pareto_ii",
         mean_text="q x0 / (q - 1)",
         mean_constraint="q > 1",
-        mean_fn=lambda x0, q: (_mean_cf(q * x0 / (q - 1.0))
-                               if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="lomax",
         free_parameters=(("c", "c > 0"), ("q", "q > 0")),
         map_text="(0, 1, c, q, 0)",
-        to_if=lambda c, q: IFParams(0.0, 1.0, c, q, 0.0),
         tree_parent="pareto_ii",
         mean_text="c / (q - 1)",
         mean_constraint="q > 1",
-        mean_fn=lambda c, q: (_mean_cf(c / (q - 1.0)) if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="burr_xii",
         free_parameters=(("b", "b > 0"), ("q", "q > 0")),
         map_text="(0, b, 1, q, 0)",
-        to_if=lambda b, q: IFParams(0.0, b, 1.0, q, 0.0),
         tree_parent="tadikamalla_burr_xii",
         mean_text="q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b q > 1",
-        mean_fn=lambda b, q: (
-            _mean_cf(q * beta(q - 1.0 / b, 1.0 + 1.0 / b))
-            if b * q > 1 else _NOT_DEFINED),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="fisk",
         free_parameters=(("b", "b > 0"), ("c", "c > 0")),
         map_text="(0, b, c, 1, 0)",
-        to_if=lambda b, c: IFParams(0.0, b, c, 1.0, 0.0),
         tree_parent="pareto_iii",
         mean_text="c Gamma(1 - 1/b) Gamma(1 + 1/b)",
         mean_constraint="b > 1",
-        mean_fn=lambda b, c: (
-            _mean_cf(c * _gamma(1.0 - 1.0 / b) * _gamma(1.0 + 1.0 / b))
-            if b > 1 else _NOT_DEFINED),
         in_mean_table=True,
     ),
 
@@ -275,90 +253,69 @@ _ENTRIES = [
         name="weibull",
         free_parameters=(("c", "c > 0"), ("q", "q > 0"), ("x0", "x0 >= 0")),
         map_text="(inf, -1, c, q, x0)",
-        to_if=lambda c, q, x0: IFParams(INF, -1.0, c, q, x0),
         mean_text="x0 + c Gamma(1 + 1/q)",
-        mean_fn=lambda c, q, x0: _mean_cf(x0 + c * _gamma(1.0 + 1.0 / q)),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="weibull_2p",
         free_parameters=(("c", "c > 0"), ("q", "q > 0")),
         map_text="(inf, -1, c, q, 0)",
-        to_if=lambda c, q: IFParams(INF, -1.0, c, q, 0.0),
         mean_text="c Gamma(1 + 1/q)",
-        mean_fn=lambda c, q: _mean_cf(c * _gamma(1.0 + 1.0 / q)),
     ),
     CatalogEntry(
         name="frechet",
         free_parameters=(("c", "c > 0"), ("q", "q > 0"), ("x0", "x0 >= 0")),
         map_text="(inf, 1, c, q, x0)",
-        to_if=lambda c, q, x0: IFParams(INF, 1.0, c, q, x0),
         tree_parent="if2",
         mean_text="x0 + c Gamma(1 - 1/q)",
         mean_constraint="q > 1",
-        mean_fn=lambda c, q, x0: (_mean_cf(x0 + c * _gamma(1.0 - 1.0 / q))
-                                  if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="frechet_2p",
         free_parameters=(("c", "c > 0"), ("q", "q > 0")),
         map_text="(inf, 1, c, q, 0)",
-        to_if=lambda c, q: IFParams(INF, 1.0, c, q, 0.0),
         mean_text="c Gamma(1 - 1/q)",
         mean_constraint="q > 1",
-        mean_fn=lambda c, q: (_mean_cf(c * _gamma(1.0 - 1.0 / q))
-                              if q > 1 else _NOT_DEFINED),
     ),
     CatalogEntry(
         name="gumbel_ii",
         free_parameters=(("c", "c > 0"), ("q", "q > 0")),
         map_text="(inf, 1, c, q, 0)",
-        to_if=lambda c, q: IFParams(INF, 1.0, c, q, 0.0),
         tree_parent="frechet",
         mean_text="c Gamma(1 - 1/q)",
         mean_constraint="q > 1",
-        mean_fn=lambda c, q: (_mean_cf(c * _gamma(1.0 - 1.0 / q))
-                              if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="rayleigh",
         free_parameters=(("c", "c > 0"),),
         map_text="(inf, -1, c, 2, 0)",
-        to_if=lambda c: IFParams(INF, -1.0, c, 2.0, 0.0),
         mean_text="c sqrt(pi) / 2",
-        mean_fn=lambda c: _mean_cf(c * math.sqrt(math.pi) / 2.0),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="inverse_rayleigh",
         free_parameters=(("c", "c > 0"),),
         map_text="(inf, 1, c, 2, 0)",
-        to_if=lambda c: IFParams(INF, 1.0, c, 2.0, 0.0),
         tree_parent="gumbel_ii",
         mean_text="c sqrt(pi)",
-        mean_fn=lambda c: _mean_cf(c * math.sqrt(math.pi)),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="exponential",
         free_parameters=(("c", "c > 0"),),
         map_text="(inf, -1, c, 1, 0)",
-        to_if=lambda c: IFParams(INF, -1.0, c, 1.0, 0.0),
         mean_text="c",
-        mean_fn=lambda c: _mean_cf(c),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="inverse_exponential",
         free_parameters=(("c", "c > 0"),),
         map_text="(inf, 1, c, 1, 0)",
-        to_if=lambda c: IFParams(INF, 1.0, c, 1.0, 0.0),
         tree_parent="gumbel_ii",
         mean_text="not defined",
         mean_constraint="violated",
-        mean_fn=lambda c: _NOT_DEFINED,
         in_mean_table=True,
     ),
 
@@ -367,29 +324,21 @@ _ENTRIES = [
         name="generalized_lomax",
         free_parameters=(("m", "m > 1"), ("c", "c > 0"), ("q", "q > 0")),
         map_text="(m-1, 1, c, q, 0)",
-        to_if=lambda m, c, q: IFParams(m - 1.0, 1.0, c, q, 0.0),
         membership=lambda pa: (0.0 < pa.p < INF and pa.b == 1.0 and pa.x0 == 0.0),
         tree_parent="if3",
         mean_text="c m^(1-1/q) (B(1 - 1/q, m) - 1/m)",
         mean_constraint="q > 1",
-        mean_fn=lambda m, c, q: (
-            _mean_cf(c * m ** (1.0 - 1.0 / q) * (beta(1.0 - 1.0 / q, m) - 1.0 / m))
-            if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
     ),
     CatalogEntry(
         name="stoppa",
         free_parameters=(("m", "m > 1"), ("c", "c > 0"), ("q", "q > 0")),
         map_text="(m-1, 1, c, q, c m^(-1/q))",
-        to_if=lambda m, c, q: IFParams(m - 1.0, 1.0, c, q, c * m ** (-1.0 / q)),
         membership=lambda pa: (0.0 < pa.p < INF and pa.b == 1.0
                                and pa.x0 == pa.c * (pa.p + 1.0) ** (-1.0 / pa.q)),
         tree_parent="if3",
         mean_text="c m^(1-1/q) B(1 - 1/q, m)",
         mean_constraint="q > 1",
-        mean_fn=lambda m, c, q: (
-            _mean_cf(c * m ** (1.0 - 1.0 / q) * beta(1.0 - 1.0 / q, m))
-            if q > 1 else _NOT_DEFINED),
         in_mean_table=True,
     ),
 ]
@@ -463,8 +412,10 @@ def entry(name: str) -> CatalogEntry:
         raise DomainError(f"unknown distribution name {name!r}") from None
 
 
-def _checked_args(e: CatalogEntry, args: dict) -> dict[str, float]:
-    """The arguments of entry e as floats, after checking names and constraints."""
+def _checked(e: CatalogEntry, args: dict) -> tuple[dict[str, float], IFParams]:
+    """The arguments of entry e as floats and their family point, after
+    checking names, constraints and the point itself (an infinite argument
+    passes the constraint texts but can leave the family)."""
     expected = [pname for pname, _ in e.free_parameters]
     missing = [pn for pn in expected if pn not in args]
     extra = [k for k in args if k not in expected]
@@ -480,13 +431,17 @@ def _checked_args(e: CatalogEntry, args: dict) -> dict[str, float]:
     problems = e.check(**clean)
     if problems:
         raise DomainError(f"{e.name}: " + "; ".join(problems))
-    return clean
+    pa = e.to_if(**clean)
+    problems = pa.violations()
+    if problems:
+        raise DomainError(f"{e.name} maps {clean} outside the family: "
+                          + "; ".join(problems))
+    return clean, pa
 
 
 def named(name: str, **args) -> IFParams:
     """Family parameters of a named special case, validating its constraints."""
-    e = entry(name)
-    return e.to_if(**_checked_args(e, args))
+    return _checked(entry(name), args)[1]
 
 
 def resolve(params: IFParams) -> list[str]:
@@ -502,11 +457,16 @@ def resolve(params: IFParams) -> list[str]:
 
 
 def table1_mean(name: str, **args) -> MomentResult:
-    """The printed mean formula of a named case, honoring its constraint."""
+    """The printed mean formula of a named case where its printed constraint
+    holds; elsewhere the violated existence condition of the first moment."""
     e = entry(name)
-    if e.mean_fn is None:
+    if e.mean_text is None:
         raise DomainError(f"{name} has no tabled mean expression")
-    return e.mean_fn(**_checked_args(e, args))
+    args, pa = _checked(e, args)
+    constraint = e.mean_constraint
+    if constraint is None or (constraint != _NEVER and _evaluate(constraint, args)):
+        return MomentResult.closed_form(_evaluate(e.mean_text, args))
+    return MomentResult.non_existent(moment_exists(pa, 1)[1])
 
 
 def records() -> list[dict]:

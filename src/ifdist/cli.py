@@ -97,15 +97,9 @@ def _read_params_file(path: str) -> dict[str, float]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = parts
-            key = key.strip()
-            value = value.strip()
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
             if key not in _RAW_KEYS:
                 raise _UsageError(f"{path}:{lineno}: unknown parameter {key!r}")
             try:

@@ -169,8 +169,6 @@ def _unit_moment(params: IFParams, k: int) -> tuple[float, float]:
     Elsewhere the integrand is integrated whole: there the leading term
     would only cancel.  Raises NumericFailure beyond a relative error of
     _UNIT_MAX_REL_ERR."""
-    if k == 0:
-        return 1.0, 0.0
     p, b, q = params.p, params.b, params.q
     kb = k / b
     a = q - kb
@@ -230,7 +228,9 @@ def _unit_moment(params: IFParams, k: int) -> tuple[float, float]:
 
 def _standard_moment(params: IFParams, k: int) -> tuple[float, float]:
     """(E[Y^k], abs error) with Y = (X - x0)/c: closed forms (error 0) on
-    the subfamilies, the [0, 1] form elsewhere."""
+    the subfamilies, the [0, 1] form elsewhere; E[Y^0] = 1 exactly."""
+    if k == 0:
+        return 1.0, 0.0
     b, q = params.b, params.q
     sub = classify(params)
     if sub is Subfamily.IF1:

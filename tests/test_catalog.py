@@ -9,6 +9,8 @@ from ifdist import DomainError, IFParams, UniformStream
 from ifdist.catalog import (
     CATALOG,
     TREE_EDGES,
+    _compiled,
+    _evaluate,
     catalog_names,
     entry,
     named,
@@ -16,6 +18,7 @@ from ifdist.catalog import (
     resolve,
     table1_mean,
 )
+from ifdist.kernels import beta
 from ifdist.moments import mean
 
 INF = math.inf
@@ -94,6 +97,30 @@ class TestNamed:
             named(name, **args)
         assert str(exc.value) == message
 
+    # infinite (or, for b, NaN) arguments pass the constraint texts, but
+    # their image is no point of the family
+    @pytest.mark.parametrize("name, args, problem", [
+        ("pareto_iv", dict(gamma=INF, c=1, q=2, x0=0), "b must be nonzero and finite"),
+        ("lomax", dict(c=1, q=INF), "q must be positive and finite"),
+        ("weibull", dict(c=INF, q=1, x0=0), "c must be positive and finite"),
+        ("pareto_i", dict(x0=INF, q=2), "c must be positive and finite; "
+         "x0 must be nonnegative and finite"),
+        ("if1", dict(b=math.nan, c=1, q=1, x0=0), "b must be nonzero and finite"),
+    ])
+    def test_image_outside_the_family(self, name, args, problem):
+        for fn in (named, table1_mean):
+            if fn is table1_mean and CATALOG[name].mean_text is None:
+                continue
+            with pytest.raises(DomainError) as exc:
+                fn(name, **args)
+            assert str(exc.value).startswith(f"{name} maps ")
+            assert str(exc.value).endswith(f" outside the family: {problem}")
+
+    def test_infinite_m_is_the_p_inf_edge(self):
+        gumbel = named("gumbel_ii", c=2, q=3)
+        assert named("generalized_lomax", m=INF, c=2, q=3) == gumbel
+        assert named("stoppa", m=INF, c=2, q=3) == gumbel
+
     def test_missing_and_extra_args(self):
         with pytest.raises(DomainError, match="missing"):
             named("exponential")
@@ -165,6 +192,13 @@ class TestTable1Mean:
         assert not table1_mean("fisk", b=0.9, c=1).exists
         assert not table1_mean("dagum", b=-0.5, c=1, q=2).exists
 
+    def test_non_existence_reads_the_family_condition(self):
+        assert (table1_mean("dagum", b=-0.5, c=1, q=2).constraint
+                == "requires r < -b(p+1)")
+        assert table1_mean("fisk", b=0.9, c=1).constraint == "requires r < bq"
+        assert (table1_mean("inverse_exponential", c=1).constraint
+                == "requires r < bq")
+
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             table1_mean("nope", c=1)
@@ -183,6 +217,31 @@ class TestTable1Mean:
                 assert t1.exists == m.exists, (name, args)
                 if t1.exists:
                     assert t1.value == pytest.approx(m.value, rel=1e-9), (name, args)
+
+
+class TestFormulaTexts:
+    def test_every_text_compiles_once(self):
+        # a text that does not parse fails here, not at a user's first call
+        for e in CATALOG.values():
+            texts = [e.map_text]
+            if e.mean_constraint != "violated":
+                texts += [t for t in (e.mean_text, e.mean_constraint) if t]
+            for text in texts:
+                assert _compiled(text) is _compiled(text), (e.name, text)
+
+    def test_side_by_side_is_a_product_and_caret_a_power(self):
+        m, c, q, x0, b = 2.5, 3.0, 4.0, 0.5, 0.25
+        args = dict(m=m, c=c, q=q, x0=x0, b=b)
+        assert (_evaluate("c m^(1-1/q) (B(1 - 1/q, m) - 1/m)", args)
+                == c * m ** (1 - 1 / q) * (beta(1 - 1 / q, m) - 1 / m))
+        assert _evaluate("q x0 / (q - 1)", args) == q * x0 / (q - 1)
+        assert _evaluate("(m-1, 1, c, q, c m^(-1/q))", args) == (
+            m - 1, 1, c, q, c * m ** (-1 / q))
+        assert _evaluate("b q > 1", args) is False
+
+    def test_no_builtins(self):
+        with pytest.raises(NameError):
+            _evaluate("abs(c)", {"c": 1.0})
 
 
 class TestTree:

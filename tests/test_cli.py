@@ -139,6 +139,14 @@ class TestParamSelection:
         assert code == 1 and out == ""
         assert err == f"ifdist: {f}:2: cannot parse b value 'abc'\n"
 
+    def test_params_file_line_without_equals(self, capsys, tmp_path):
+        # "key value" is not a second spelling of "key = value"
+        f = tmp_path / "pars.txt"
+        f.write_text("p = 1\nb 2\nc = 1\nq = 1\nx0 = 0\n")
+        code, out, err = run(capsys, "--params", str(f), "summary")
+        assert code == 1 and out == ""
+        assert err == f"ifdist: {f}:2: expected 'key = value'\n"
+
     @pytest.mark.parametrize("flag", ["--gamma", "--m"])
     def test_entry_flag_needs_dist(self, capsys, flag):
         code, out, err = run(capsys, flag, "2", "--p", "1", "--b", "1", "--c", "1",
@@ -369,6 +377,24 @@ class TestCheck:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, message", [
+        ("--dist exponential --c 1 eval --what pdf --at 1,x",
+         "cannot parse number list '1,x'"),
+        ("--dist exponential --params {tmp}/pars.txt --c 1 summary",
+         "--dist and --params are mutually exclusive"),
+        ("--dist exponential --c 1 sample --n -1 --seed 1 --out {tmp}/x.csv",
+         "--n must be nonnegative"),
+        ("curve --vary p --values ,", "--values must name at least one sweep value"),
+        ("--dist exponential --c 1 modegrid --axis1 q,1,2 --axis2 c,1,2 --steps 0,3",
+         "--steps expects N1,N2 with integers >= 1"),
+        ("catalog show", "catalog show requires a name"),
+        ("check --suite roundtrip --tol 0", "--tol must be positive"),
+    ])
+    def test_usage_errors_exit_1(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, *argv.format(tmp=tmp_path).split())
+        assert (code, out, err) == (1, "", f"ifdist: {message}\n")
+        assert not any(tmp_path.iterdir())
+
     def test_no_command(self, capsys):
         assert main([]) == 1
         capsys.readouterr()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ifdist import DomainError, IFDistribution, IFParams, NumericFailure, integrate
+from ifdist import (DomainError, IFDistribution, IFParams, NumericFailure,
+                    UniformStream, integrate)
 from ifdist.kernels import beta
 from ifdist.moments import (
     CLOSED_FORM,
@@ -89,6 +90,17 @@ class TestRawMoment:
         res = raw_moment(IFParams(0.0, 1.0, 1.0, 1.0, 0.0), 1)
         assert not res.exists
         assert res.value is None and res.constraint == "requires r < bq"
+
+    def test_zeroth_standard_moment_is_one(self):
+        # the closed forms at k = 0 used to round away from 1 on IF1/IF3,
+        # which then showed as x0^r * 0.9999999999999998 in E[X^r]
+        u = UniformStream(0)
+        for _ in range(300):
+            b, c, q, x0, p = u.draws(5) * [6.0, 1.0, 6.0, 1.0, 8.0] + 0.05
+            for pa in (IFParams(0.0, b, c, q, x0), IFParams(0.0, -b, c, q, x0),
+                       IFParams(p, 1.0, c, q, x0), IFParams(INF, -b, c, q, x0)):
+                assert _standard_moment(pa, 0) == (1.0, 0.0), pa
+        assert raw_moment(IFParams(0.7, 1.0, 1e-300, 3.0, 1.0), 2).value == 1.0
 
 
 class TestMean:
