@@ -25,7 +25,7 @@ from typing import Callable
 from .core import IFParams
 from .errors import DomainError
 from .kernels import beta, ln_gamma
-from .moments import MomentResult, moment_exists
+from .moments import MomentResult, mean, moment_exists
 
 __all__ = [
     "CatalogEntry",
@@ -458,11 +458,14 @@ def resolve(params: IFParams) -> list[str]:
 
 def table1_mean(name: str, **args) -> MomentResult:
     """The printed mean formula of a named case where its printed constraint
-    holds; elsewhere the violated existence condition of the first moment."""
+    holds, else the violated existence condition of the first moment; at an
+    infinite argument (no limit in floating point) the family point's mean."""
     e = entry(name)
     if e.mean_text is None:
         raise DomainError(f"{name} has no tabled mean expression")
     args, pa = _checked(e, args)
+    if any(map(math.isinf, args.values())):
+        return mean(pa)
     constraint = e.mean_constraint
     if constraint is None or (constraint != _NEVER and _evaluate(constraint, args)):
         return MomentResult.closed_form(_evaluate(e.mean_text, args))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import IFDistribution, IFParams, Subfamily, _power_offset, classify
-from .errors import DomainError
+from .errors import DomainError, NumericFailure
 from .kernels import Bracket, find_root
 
 __all__ = [
@@ -133,7 +133,8 @@ def solve_mode_equation(params: IFParams, tol: float = 1e-14) -> list[float]:
     ts = _T_GRID
     vals = residual(ts)
     roots = [float(t) for t in ts[vals == 0.0]]
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+    # brackets by sign: the product of values overflows at p near 1e300
+    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
         roots.append(find_root(residual, Bracket(float(ts[i]), float(ts[i + 1])),
                                tol=tol))
     roots.sort()
@@ -151,58 +152,47 @@ def mode_x_from_t(params: IFParams, t: float) -> float:
     return x0 + _power_offset(c, ln_scale, -math.log(t) / q, 1.0 / b)
 
 
-def _if1_mode(params: IFParams, d: IFDistribution) -> ModeResult:
-    b, c, q, x0 = params.b, params.c, params.q, params.x0
-    if b == 1.0 or b == -1.0 / q:
-        return ModeResult.boundary(x0, d.pdf(x0))
-    if b > 1.0 or b < -1.0 / q:
-        x = x0 + c * ((b - 1.0) / (b * q + 1.0)) ** (1.0 / b)
-        return ModeResult.interior(x, d.pdf(x))
-    return ModeResult.asymptote(x0)
-
-
-def _if2_mode(params: IFParams, d: IFDistribution) -> ModeResult:
-    b, c, q, x0 = params.b, params.c, params.q, params.x0
-    if b == -1.0 / q:
-        return ModeResult.boundary(x0, d.pdf(x0))
-    if b > 0.0 or b < -1.0 / q:
-        x = x0 + c * (b * q / (b * q + 1.0)) ** (1.0 / (b * q))
-        return ModeResult.interior(x, d.pdf(x))
-    return ModeResult.asymptote(x0)
-
-
-def _if3_mode(params: IFParams, d: IFDistribution) -> ModeResult:
-    p, c, q, x0 = params.p, params.c, params.q, params.x0
+def _closed_form_mode(params: IFParams, sub: Subfamily) -> float:
+    """The interior mode of a subfamily member whose density is 0 at x0."""
+    b, c, q, p, x0 = params.b, params.c, params.q, params.p, params.x0
+    if sub is Subfamily.IF1:
+        return x0 + c * ((b - 1.0) / (b * q + 1.0)) ** (1.0 / b)
+    if sub is Subfamily.IF2:
+        return x0 + c * (b * q / (b * q + 1.0)) ** (1.0 / (b * q))
     scale = math.exp(-math.log1p(p) / q)
-    x = x0 + c * scale * (((q + 1.0) / ((p + 1.0) * q + 1.0)) ** (-1.0 / q) - 1.0)
-    return ModeResult.interior(x, d.pdf(x))
+    return x0 + c * scale * (((q + 1.0) / ((p + 1.0) * q + 1.0)) ** (-1.0 / q) - 1.0)
 
 
 def mode(params: IFParams) -> ModeResult:
-    """Global maximizer of the density: the boundary x0, an interior point,
-    or a vertical asymptote at x0."""
+    """Global maximizer of the density: a vertical asymptote at x0 where the
+    density diverges there (`boundary_behavior`), else x0 itself or an
+    interior point, which off the subfamilies is the best stationary root."""
     d = IFDistribution(params)
-    sub = classify(params)
-    if sub is Subfamily.IF1:
-        return _if1_mode(params, d)
-    if sub is Subfamily.IF2:
-        return _if2_mode(params, d)
-    if sub is Subfamily.IF3:
-        return _if3_mode(params, d)
-
-    bb = boundary_behavior(params)
-    if bb.kind is BoundaryKind.DIVERGES:
+    e = d._boundary_exponent()
+    if e < 0:
         return ModeResult.asymptote(params.x0)
+    sub = classify(params)
+    if sub is not Subfamily.GENERAL:
+        if e == 0:
+            return ModeResult.boundary(params.x0, d._boundary)
+        x = _closed_form_mode(params, sub)
+        return ModeResult.interior(x, d.pdf(x))
+
     roots = solve_mode_equation(params)
-    best_x, best_f = params.x0, bb.value
+    best_x, best_f = params.x0, d._boundary
     for t in roots:
         x = mode_x_from_t(params, t)
         fx = d.pdf(x)
         if fx > best_f:
             best_x, best_f = x, fx
-    if best_x == params.x0:
-        return ModeResult(ModeKind.BOUNDARY, params.x0, bb.value, len(roots))
-    return ModeResult.interior(best_x, best_f, len(roots))
+    if best_x != params.x0:
+        return ModeResult.interior(best_x, best_f, len(roots))
+    if e > 0:
+        # the density is 0 at x0 and positive above it: a root was missed,
+        # or it lies closer to x0 than the doubles resolve
+        raise NumericFailure(f"no stationary point resolved above the zero "
+                             f"density at x0 of {params}")
+    return ModeResult(ModeKind.BOUNDARY, params.x0, best_f, len(roots))
 
 
 _AXIS_NAMES = ("p", "b", "c", "q", "x0")

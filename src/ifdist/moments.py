@@ -105,15 +105,11 @@ def moment_exists(params: IFParams, r) -> tuple[bool, str]:
     return r < -b * (p + 1.0), "requires r < -b(p+1)"
 
 
-def _dist(params: IFParams) -> IFDistribution:
-    return IFDistribution(params)
-
-
 def _x_space_moment(params: IFParams, r: int) -> MomentResult | None:
     """E[X^r] by quadrature of x^r times the density within the budget, or
     None where that does not converge or the value is not above its own
     absolute tolerance (a tiny c)."""
-    d = _dist(params)
+    d = IFDistribution(params)
 
     def integrand(deltas):
         # x^r * pdf(x) assembled in log space; x^r alone overflows near the
@@ -219,10 +215,9 @@ def _unit_moment(params: IFParams, k: int) -> tuple[float, float]:
         raise NumericFailure(
             f"[0, 1] moment form did not resolve {params} k={k}: "
             f"{total!r} with error estimate {err:.3e}")
-    # the prefactor (p+1)^(1 - k/(bq)) may leave the doubles on its own
+    # the prefactor (p+1)^(1 - k/(bq)) may leave the doubles on its own: the
+    # value then reads inf, which the public entry turns into NumericFailure
     value = q * _exp((1.0 - kb / q) * math.log1p(p) + math.log(total))
-    if value == math.inf:
-        raise NumericFailure(f"E[Y^{k}] exceeds the largest double at {params}")
     return value, value * (err / total)
 
 
@@ -258,25 +253,37 @@ def _binomial(params: IFParams, r: int) -> tuple[float, float]:
     return total, err
 
 
-def raw_moment(params: IFParams, r) -> MomentResult:
-    """E[X^r] for positive integer r: the binomial expansion of (x0 + c Y)^r
-    over the standardised moments on the subfamilies, quadrature elsewhere."""
-    r = _check_order(r)
-    _dist(params)  # validate
+def _moment(params: IFParams, r: int, body) -> MomentResult:
+    """The one way in and out of raw_moment, mean and variance: validate,
+    answer non_existent where the r-th moment does not exist, and raise
+    NumericFailure where body()'s value leaves the doubles."""
+    IFDistribution(params)  # validate
     ok, condition = moment_exists(params, r)
     if not ok:
         return MomentResult.non_existent(condition)
+    try:
+        res = body()
+    except OverflowError as exc:
+        raise NumericFailure(f"a moment of {params} overflowed: {exc}") from exc
+    if not math.isfinite(res.value):
+        raise NumericFailure(f"a moment of {params} is {res.value!r}")
+    return res
+
+
+def _raw_moment(params: IFParams, r: int) -> MomentResult:
     if classify(params) is Subfamily.GENERAL:
         return _numeric_moment(params, r)
     return MomentResult.closed_form(_binomial(params, r)[0])
 
 
-def mean(params: IFParams) -> MomentResult:
-    """First moment through the single-term closed forms where available."""
-    _dist(params)
-    ok, condition = moment_exists(params, 1)
-    if not ok:
-        return MomentResult.non_existent(condition)
+def raw_moment(params: IFParams, r) -> MomentResult:
+    """E[X^r] for positive integer r: the binomial expansion of (x0 + c Y)^r
+    over the standardised moments on the subfamilies, quadrature elsewhere."""
+    r = _check_order(r)
+    return _moment(params, r, lambda: _raw_moment(params, r))
+
+
+def _mean(params: IFParams) -> MomentResult:
     b, c, q, x0, p = params.b, params.c, params.q, params.x0, params.p
     sub = classify(params)
     # the IF1 and IF3 forms stay written out: their rounding differs in the
@@ -287,24 +294,19 @@ def mean(params: IFParams) -> MomentResult:
         m = p + 1.0
         val = x0 + c * m ** (1.0 - 1.0 / q) * (beta(1.0 - 1.0 / q, m) - 1.0 / m)
         return MomentResult.closed_form(val)
-    if sub is Subfamily.IF2:
-        return MomentResult.closed_form(x0 + c * _standard_moment(params, 1)[0])
-    return _numeric_moment(params, 1)
+    return _raw_moment(params, 1)
 
 
-def variance(params: IFParams) -> MomentResult:
-    """Variance; scale-squared closed forms on the subfamilies (the location
-    x0 drops out), numeric second-moment-minus-squared-mean elsewhere, and
-    c^2 Var(Y) from the [0, 1] form where that quadrature cannot finish."""
-    _dist(params)
-    ok, condition = moment_exists(params, 2)
-    if not ok:
-        return MomentResult.non_existent(condition)
+def mean(params: IFParams) -> MomentResult:
+    """First moment through the single-term closed forms where available."""
+    return _moment(params, 1, lambda: _mean(params))
+
+
+def _variance(params: IFParams) -> MomentResult:
     c, q, p = params.c, params.q, params.p
     sub = classify(params)
     if sub is Subfamily.IF1 or sub is Subfamily.IF2:
-        m1 = _standard_moment(params, 1)[0]
-        m2 = _standard_moment(params, 2)[0]
+        (m1, _), (m2, _) = (_standard_moment(params, k) for k in (1, 2))
         return MomentResult.closed_form(c * c * (m2 - m1 * m1))
     if sub is Subfamily.IF3:
         # written out, like the IF3 mean, for its last-bit rounding
@@ -322,11 +324,20 @@ def variance(params: IFParams) -> MomentResult:
     else:
         (v1, e1), (v2, e2) = (m1.value, m1.abs_error), (m2.value, m2.abs_error)
         scale, provenance = 1.0, NUMERIC
-    # heavy tails make this subtraction genuinely cancellation-prone
-    val = float(np.longdouble(v2) - np.longdouble(v1) ** 2)
+    # heavy tails make this subtraction genuinely cancellation-prone; an
+    # E[Y] beyond the doubles makes it inf - inf, which the exit reports
+    with np.errstate(invalid="ignore"):
+        val = float(np.longdouble(v2) - np.longdouble(v1) ** 2)
     err = e2 + 2.0 * abs(v1) * e1
     if val <= 0.0:
         raise NumericFailure(
             f"numeric variance lost all precision for {params}: {val!r}")
     return MomentResult(value=scale * val, provenance=provenance,
                         abs_error=scale * err)
+
+
+def variance(params: IFParams) -> MomentResult:
+    """Variance; scale-squared closed forms on the subfamilies (the location
+    x0 drops out), numeric second-moment-minus-squared-mean elsewhere, and
+    c^2 Var(Y) from the [0, 1] form where that quadrature cannot finish."""
+    return _moment(params, 2, lambda: _variance(params))

@@ -203,6 +203,15 @@ class TestTable1Mean:
         with pytest.raises(DomainError):
             table1_mean("nope", c=1)
 
+    @pytest.mark.parametrize("name", ["stoppa", "generalized_lomax"])
+    def test_m_inf_is_the_gumbel_ii_mean(self, name):
+        # the printed formula has no m = inf limit in floating point; the
+        # family point (p = inf, b = 1) answers c Gamma(1 - 1/q)
+        res = table1_mean(name, m=INF, c=1, q=2)
+        assert res.value == table1_mean("gumbel_ii", c=1, q=2).value
+        assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+        assert table1_mean(name, m=INF, c=1, q=0.5).constraint == "requires r < bq"
+
     def test_fixture_equality_against_moments(self):
         # every tabled row, 20 seeded draws: printed formula == mean machinery
         u = UniformStream(7)

@@ -412,6 +412,17 @@ class TestExitCodes:
                            "summary")
         assert code == 2 and "numeric failure" in err
 
+    @pytest.mark.parametrize("argv", [
+        # the IF2 mean Gamma(1001) is beyond the largest double
+        "--p inf --b -1 --c 1 --q 0.001 --x0 0 summary",
+        # the variance c^2 Var(Y) is beyond it at c = 1e200
+        "--p 1 --b 2 --c 1e200 --q 3 --x0 0 summary",
+    ])
+    def test_moment_beyond_the_doubles_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and "numeric failure" in err
+        assert "inf" not in out
+
     def test_mean_beyond_the_float_range_answered(self, capsys):
         # bq = 1.01: most of the mean's mass lies beyond the largest double,
         # so the x-space quadrature cannot finish and the [0, 1] form answers;

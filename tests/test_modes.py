@@ -1,10 +1,13 @@
 import math
+import random
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ifdist import (Bracket, DomainError, IFDistribution, IFParams, find_root,
-                    maximize_scalar, modes)
+from ifdist import (Bracket, DomainError, IFDistribution, IFParams, NumericFailure,
+                    find_root, maximize_scalar, modes)
 from ifdist.modes import (
     MODE_ASYMPTOTE,
     MODE_AT_BOUNDARY,
@@ -235,6 +238,88 @@ class TestMode:
             solved = mode_x_from_t(pa, solve_mode_equation(pa)[0])
             frechet = mode(IFParams(INF, 1.0, 1.0, q, 0.0)).x
             assert abs(solved - frechet) <= 1e-3
+
+
+def _kind_sweep_points(seed=13, n=600):
+    # every subfamily, both signs of b, and the two boundary-exponent zeros
+    # b = -1/q and b(p+1) = 1 formed in floating point
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        q = rng.uniform(0.1, 10.0)
+        p = (0.0, INF, 10.0 ** rng.uniform(-3.0, 3.0))[i % 3]
+        b = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.3, 1.3)
+        shape = (i // 3) % 4
+        if shape == 0:
+            b = -1.0 / q
+        elif shape == 1 and not math.isinf(p):
+            b = 1.0 / (p + 1.0)
+        elif shape == 2 and p > 0.0:
+            b = 1.0
+        out.append(IFParams(p, b, rng.uniform(0.5, 3.0), q, rng.uniform(0.0, 2.0)))
+    return out
+
+
+class TestKindFromBoundaryExponent:
+    def test_kind_agrees_with_boundary_behavior(self):
+        asymptotes = boundaries = 0
+        for pa in _kind_sweep_points():
+            bb = boundary_behavior(pa)
+            try:
+                res = mode(pa)
+            except NumericFailure:
+                # only a zero boundary density can leave the search empty
+                assert bb.kind is BoundaryKind.ZERO, pa
+                continue
+            assert ((res.kind is ModeKind.ASYMPTOTE)
+                    == (bb.kind is BoundaryKind.DIVERGES)), pa
+            if res.kind is ModeKind.BOUNDARY:
+                assert bb.kind is BoundaryKind.FINITE, pa
+                assert res.x == pa.x0 and res.density == bb.value, pa
+                boundaries += 1
+            asymptotes += res.kind is ModeKind.ASYMPTOTE
+        assert asymptotes > 50 and boundaries > 50
+
+    def test_b_minus_one_over_q_rounding_off_zero(self):
+        # b = -1/q with b q rounding to -1 + 2^-53: the density diverges
+        q = 0.7136836766054665
+        pa = IFParams(0.0, -1.0 / q, 1.0, q, 0.0)
+        assert -pa.b * pa.q - 1.0 < 0.0
+        assert boundary_behavior(pa).kind is BoundaryKind.DIVERGES
+        assert mode(pa).kind is ModeKind.ASYMPTOTE
+        assert mode(replace(pa, p=INF)).kind is ModeKind.ASYMPTOTE
+
+
+class TestGeneralSearchFailsHonestly:
+    # the density is 0 at x0 here, and the t grid (floor 1e-12) misses the
+    # stationary point (near t = 1/(pq) at large p); the true modes come
+    # from a direct argmax of log_pdf_offset in ln(x - x0)
+    MISSED = [
+        (IFParams(1e13, 1.5, 1.0, 2.0, 0.0), 0.9085600770010052, 1.1605046228478404),
+        (IFParams(0.06450202816419705, -0.1151131134286553, 0.2712521005669212,
+                  8.732215825896946, 0.0), 1.5943443448214571e-21, 2.7809356173364184),
+    ]
+
+    @pytest.mark.parametrize("pa, _x, _f", MISSED)
+    def test_missed_root_raises(self, pa, _x, _f):
+        assert boundary_behavior(pa).kind is BoundaryKind.ZERO
+        with pytest.raises(NumericFailure):
+            mode(pa)
+
+    @pytest.mark.xfail(strict=True, raises=NumericFailure,
+                       reason="t grid floor 1e-12 misses the root (ROADMAP item 5)")
+    @pytest.mark.parametrize("pa, x, f", MISSED)
+    def test_missed_root_found(self, pa, x, f):
+        res = mode(pa)
+        assert res.kind is ModeKind.INTERIOR
+        assert res.x == pytest.approx(x, rel=1e-5)
+        assert res.density == pytest.approx(f, rel=1e-6)
+
+    def test_huge_p_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure):
+                mode(IFParams(1e300, 1.5, 1.0, 2.0, 0.0))
 
 
 class TestModeGrid:

@@ -127,6 +127,46 @@ class TestMean:
                                                    rel=1e-10)
 
 
+class TestOneExit:
+    # a moment beyond the doubles raises NumericFailure, whichever path
+    # formed it: Gamma overflow (IF2), c ** 2 in the binomial loop (IF1),
+    # the x-space tolerance (General), c^2 times a finite Var(Y), and the
+    # [0, 1] form's prefactor
+    @pytest.mark.parametrize("fn, pa", [
+        (mean, IFParams(INF, -1.0, 1.0, 0.001, 0.0)),
+        (lambda pa: raw_moment(pa, 2), IFParams(0.0, 2.0, 1e200, 3.0, 0.0)),
+        (lambda pa: raw_moment(pa, 2), IFParams(1.0, 2.0, 1e200, 3.0, 0.0)),
+        (variance, IFParams(1.0, 2.0, 1e200, 3.0, 0.0)),
+        (variance, IFParams(0.0, 2.0, 1e200, 3.0, 0.0)),
+        # E[Y] itself beyond the doubles in the [0, 1] form
+        (mean, IFParams(100.0, -0.1, 1.0, 0.05, 0.0)),
+        (variance, IFParams(100.0, -0.1, 1.0, 0.05, 0.0)),
+    ])
+    def test_beyond_the_doubles_raises(self, fn, pa):
+        with pytest.raises(NumericFailure, match="moment of IFParams"):
+            fn(pa)
+
+    def test_finite_neighbours_still_answer(self):
+        assert mean(IFParams(INF, -1.0, 1.0, 0.01, 0.0)).value == pytest.approx(
+            math.factorial(100), rel=1e-12)
+        assert variance(IFParams(0.0, 2.0, 1e100, 3.0, 0.0)).exists
+
+    def test_non_existence_comes_first(self):
+        # the existence test answers before any value is formed
+        res = variance(IFParams(0.0, 2.0, 1e200, 0.9, 0.0))
+        assert not res.exists and res.constraint == "requires r < bq"
+
+    def test_if2_mean_is_the_binomial_first_moment(self):
+        u = UniformStream(21)
+        for _ in range(200):
+            b = (0.3 + 4.0 * next(u)) * (1.0 if next(u) < 0.5 else -1.0)
+            q = 0.2 + 5.0 * next(u)
+            pa = IFParams(INF, b, 0.1 + 3.0 * next(u), q, 2.0 * next(u))
+            m = mean(pa)
+            if m.exists:
+                assert m.value == raw_moment(pa, 1).value, pa
+
+
 class TestVariance:
     def test_exponential(self):
         assert variance(IFParams(INF, -1.0, 1.0, 1.0, 0.0)).value == pytest.approx(
