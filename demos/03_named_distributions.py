@@ -39,6 +39,6 @@ print(f"  exists={res.exists}  violated constraint: {res.constraint!r}")
 print("\nSign of b mirrors a family member into its inverse:")
 w = named("weibull_2p", c=1.0, q=2.0)      # this is the Rayleigh
 iw = named("inverse_rayleigh", c=1.0)
-print(f"  rayleigh    b={w.b}, mode at {IFDistribution(w).quantile(0.5):.4f} (median)")
+print(f"  rayleigh    b={w.b}, median  {IFDistribution(w).quantile(0.5):.4f}")
 print(f"  inverse     b={iw.b}, median  {IFDistribution(iw).quantile(0.5):.4f}"
       f"  = 1/median of the mirror: {1.0 / IFDistribution(w).quantile(0.5):.4f}")

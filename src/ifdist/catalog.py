@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import IFParams
@@ -61,8 +61,17 @@ _FORMULA_NAMES = {"__builtins__": {}, "B": lambda x, y: beta(x, y),
                   "Gamma": lambda x: math.exp(ln_gamma(x)),
                   "sqrt": math.sqrt, "pi": math.pi, "inf": INF}
 
-# The mean_constraint of a row whose mean exists nowhere in its region.
-_NEVER = "violated"
+# The arguments read back off a family point other than by name, each with
+# the family parameter it comes from: m = p + 1 and gamma = 1/b.
+_READ_BACK = {"m": ("p", lambda p: p + 1.0), "gamma": ("b", lambda b: 1.0 / b)}
+_FAMILY = ("p", "b", "c", "q", "x0")
+
+
+def _read_back(names, pa: IFParams) -> dict[str, float]:
+    """The arguments `names` off the family point pa."""
+    rules = [_READ_BACK.get(pname, (pname, float)) for pname in names]
+    return {pname: inverse(getattr(pa, source))
+            for pname, (source, inverse) in zip(names, rules)}
 
 
 @functools.cache
@@ -80,8 +89,8 @@ def _evaluate(text: str, args: dict[str, float]):
 @dataclass(frozen=True)
 class CatalogEntry:
     """A named special case: free parameters with constraint texts, and a map
-    onto (p, b, c, q, x0) as map_text.  check() reads the texts, matches() the
-    map, or `membership` where the arguments (gamma, m) cannot be read back."""
+    onto (p, b, c, q, x0) as map_text.  check() reads the texts, to_if() and
+    matches() the map."""
 
     name: str
     free_parameters: tuple[tuple[str, str], ...]
@@ -89,8 +98,7 @@ class CatalogEntry:
     tree_parent: str | None = None
     mean_text: str | None = None           # the mean formula, as printed
     mean_constraint: str | None = None
-    in_mean_table: bool = False
-    membership: Callable[[IFParams], bool] | None = field(default=None, repr=False)
+    in_mean_table: bool = True             # a row of the mean table
 
     @property
     def arity(self) -> int:
@@ -110,11 +118,16 @@ class CatalogEntry:
         return IFParams(*map(float, _evaluate(self.map_text, args)))
 
     def matches(self, pa: IFParams) -> bool:
-        """Whether pa's own values pass check() and map back onto pa exactly."""
-        if self.membership is not None:
-            return self.membership(pa)
-        args = {pname: getattr(pa, pname) for pname, _ in self.free_parameters}
-        return not self.check(**args) and self.to_if(**args) == pa
+        """Whether the arguments read back off pa are finite, pass check()
+        and map onto pa exactly, except in p and b, which m and gamma are
+        read from: m - 1 and 1/gamma do not round-trip in floating point."""
+        args = _read_back([pname for pname, _ in self.free_parameters], pa)
+        if self.check(**args) or not all(map(math.isfinite, args.values())):
+            return False
+        read = {_READ_BACK[pname][0] for pname in args if pname in _READ_BACK}
+        image = self.to_if(**args)
+        return all(getattr(image, f) == getattr(pa, f)
+                   for f in _FAMILY if f not in read)
 
     def record(self) -> dict:
         """The machine-readable listing of this entry."""
@@ -138,6 +151,7 @@ _ENTRIES = [
                          ("x0", "x0 >= 0")),
         map_text="(0, b, c, q, x0)",
         tree_parent="if",
+        in_mean_table=False,
     ),
     CatalogEntry(
         name="if2",
@@ -145,6 +159,7 @@ _ENTRIES = [
                          ("x0", "x0 >= 0")),
         map_text="(inf, b, c, q, x0)",
         tree_parent="if",
+        in_mean_table=False,
     ),
     CatalogEntry(
         name="if3",
@@ -152,6 +167,7 @@ _ENTRIES = [
                          ("x0", "x0 >= 0")),
         map_text="(p, 1, c, q, x0)",
         tree_parent="if",
+        in_mean_table=False,
     ),
 
     # ---- power-law members (p = 0) ---------------------------------------
@@ -160,11 +176,9 @@ _ENTRIES = [
         free_parameters=(("gamma", "gamma > 0"), ("c", "c > 0"), ("q", "q > 0"),
                          ("x0", "x0 >= 0")),
         map_text="(0, 1/gamma, c, q, x0)",
-        membership=lambda pa: pa.p == 0.0 and pa.b > 0,
         tree_parent="if1",
         mean_text="x0 + c q B(q - gamma, 1 + gamma)",
         mean_constraint="gamma < q",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="lindsay_burr_iii",
@@ -173,7 +187,6 @@ _ENTRIES = [
         map_text="(0, b, c, q, x0)",
         mean_text="x0 + c q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b < -1",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="dagum",
@@ -181,7 +194,6 @@ _ENTRIES = [
         map_text="(0, b, c, q, 0)",
         mean_text="c q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b < -1",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="pareto_ii",
@@ -190,17 +202,14 @@ _ENTRIES = [
         tree_parent="if1",
         mean_text="x0 + c / (q - 1)",
         mean_constraint="q > 1",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="pareto_iii",
         free_parameters=(("gamma", "gamma > 0"), ("c", "c > 0"), ("x0", "x0 >= 0")),
         map_text="(0, 1/gamma, c, 1, x0)",
-        membership=lambda pa: pa.p == 0.0 and pa.b > 0 and pa.q == 1.0,
         tree_parent="if1",
         mean_text="x0 + c Gamma(1 - gamma) Gamma(1 + gamma)",
         mean_constraint="gamma < 1",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="tadikamalla_burr_xii",
@@ -209,7 +218,6 @@ _ENTRIES = [
         tree_parent="if1",
         mean_text="c q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b q > 1",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="pareto_i",
@@ -218,7 +226,6 @@ _ENTRIES = [
         tree_parent="pareto_ii",
         mean_text="q x0 / (q - 1)",
         mean_constraint="q > 1",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="lomax",
@@ -227,7 +234,6 @@ _ENTRIES = [
         tree_parent="pareto_ii",
         mean_text="c / (q - 1)",
         mean_constraint="q > 1",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="burr_xii",
@@ -236,7 +242,6 @@ _ENTRIES = [
         tree_parent="tadikamalla_burr_xii",
         mean_text="q B(q - 1/b, 1 + 1/b)",
         mean_constraint="b q > 1",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="fisk",
@@ -245,7 +250,6 @@ _ENTRIES = [
         tree_parent="pareto_iii",
         mean_text="c Gamma(1 - 1/b) Gamma(1 + 1/b)",
         mean_constraint="b > 1",
-        in_mean_table=True,
     ),
 
     # ---- cut-off members (p = inf) ----------------------------------------
@@ -254,13 +258,13 @@ _ENTRIES = [
         free_parameters=(("c", "c > 0"), ("q", "q > 0"), ("x0", "x0 >= 0")),
         map_text="(inf, -1, c, q, x0)",
         mean_text="x0 + c Gamma(1 + 1/q)",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="weibull_2p",
         free_parameters=(("c", "c > 0"), ("q", "q > 0")),
         map_text="(inf, -1, c, q, 0)",
         mean_text="c Gamma(1 + 1/q)",
+        in_mean_table=False,
     ),
     CatalogEntry(
         name="frechet",
@@ -269,7 +273,6 @@ _ENTRIES = [
         tree_parent="if2",
         mean_text="x0 + c Gamma(1 - 1/q)",
         mean_constraint="q > 1",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="frechet_2p",
@@ -277,6 +280,7 @@ _ENTRIES = [
         map_text="(inf, 1, c, q, 0)",
         mean_text="c Gamma(1 - 1/q)",
         mean_constraint="q > 1",
+        in_mean_table=False,
     ),
     CatalogEntry(
         name="gumbel_ii",
@@ -285,14 +289,12 @@ _ENTRIES = [
         tree_parent="frechet",
         mean_text="c Gamma(1 - 1/q)",
         mean_constraint="q > 1",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="rayleigh",
         free_parameters=(("c", "c > 0"),),
         map_text="(inf, -1, c, 2, 0)",
         mean_text="c sqrt(pi) / 2",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="inverse_rayleigh",
@@ -300,14 +302,12 @@ _ENTRIES = [
         map_text="(inf, 1, c, 2, 0)",
         tree_parent="gumbel_ii",
         mean_text="c sqrt(pi)",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="exponential",
         free_parameters=(("c", "c > 0"),),
         map_text="(inf, -1, c, 1, 0)",
         mean_text="c",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="inverse_exponential",
@@ -316,7 +316,6 @@ _ENTRIES = [
         tree_parent="gumbel_ii",
         mean_text="not defined",
         mean_constraint="violated",
-        in_mean_table=True,
     ),
 
     # ---- b = 1 members with finite p > 0 (parameterized by m = p+1) -------
@@ -324,80 +323,64 @@ _ENTRIES = [
         name="generalized_lomax",
         free_parameters=(("m", "m > 1"), ("c", "c > 0"), ("q", "q > 0")),
         map_text="(m-1, 1, c, q, 0)",
-        membership=lambda pa: (0.0 < pa.p < INF and pa.b == 1.0 and pa.x0 == 0.0),
         tree_parent="if3",
         mean_text="c m^(1-1/q) (B(1 - 1/q, m) - 1/m)",
         mean_constraint="q > 1",
-        in_mean_table=True,
     ),
     CatalogEntry(
         name="stoppa",
         free_parameters=(("m", "m > 1"), ("c", "c > 0"), ("q", "q > 0")),
         map_text="(m-1, 1, c, q, c m^(-1/q))",
-        membership=lambda pa: (0.0 < pa.p < INF and pa.b == 1.0
-                               and pa.x0 == pa.c * (pa.p + 1.0) ** (-1.0 / pa.q)),
         tree_parent="if3",
         mean_text="c m^(1-1/q) B(1 - 1/q, m)",
         mean_constraint="q > 1",
-        in_mean_table=True,
     ),
 ]
 
 CATALOG: dict[str, CatalogEntry] = {e.name: e for e in _ENTRIES}
 
+
 # Specialization edges of the drawn (b > 0) tree: child = parent with the
-# stated condition pinned.  Each binder rewrites one side's arguments into
-# the other side's so the two maps can be compared bit-exactly; direction
-# "up" means child args -> parent args, "down" parent args -> child args
-# (used where the reverse would force a double reciprocal).  "if" stands for
-# the full five-parameter family.
+# stated condition pinned, as (parent, child, condition, direction, binder).
+# "if" stands for the full five-parameter family, whose arguments are
+# (p, b, c, q, x0).
+def _binder(parent: str, child: str, condition: str, direction: str):
+    """One side's arguments to the other's, read back off the family point:
+    "up" maps child args to parent args, "down" parent args to child args
+    (where the reverse would force a double reciprocal)."""
+    source, target = (child, parent) if direction == "up" else (parent, child)
+    names = _FAMILY if target == "if" else [
+        pname for pname, _ in CATALOG[target].free_parameters]
+    return lambda a: _read_back(names, CATALOG[source].to_if(**a))
+
+
 TREE_EDGES: list[tuple[str, str, str, str, Callable[[dict], dict]]] = [
-    ("if", "if1", "p = 0", "up", lambda a: dict(a)),
-    ("if", "if3", "b = 1", "up", lambda a: dict(a)),
-    ("if", "if2", "p -> inf", "up", lambda a: dict(a)),
-    ("if1", "pareto_iii", "q = 1", "up",
-     lambda a: {"b": 1.0 / a["gamma"], "c": a["c"], "q": 1.0, "x0": a["x0"]}),
-    ("if1", "tadikamalla_burr_xii", "x0 = 0", "up",
-     lambda a: {"b": a["b"], "c": a["c"], "q": a["q"], "x0": 0.0}),
-    ("if1", "pareto_ii", "b = 1", "up",
-     lambda a: {"b": 1.0, "c": a["c"], "q": a["q"], "x0": a["x0"]}),
-    ("if3", "pareto_ii", "p = 0", "up",
-     lambda a: {"p": 0.0, "c": a["c"], "q": a["q"], "x0": a["x0"]}),
-    ("if3", "generalized_lomax", "x0 = 0", "up",
-     lambda a: {"p": a["m"] - 1.0, "c": a["c"], "q": a["q"], "x0": 0.0}),
-    ("if3", "stoppa", "x0 = c (p+1)^(-1/q)", "up",
-     lambda a: {"p": a["m"] - 1.0, "c": a["c"], "q": a["q"],
-                "x0": a["c"] * a["m"] ** (-1.0 / a["q"])}),
-    ("if3", "frechet", "p -> inf", "up",
-     lambda a: {"p": INF, "c": a["c"], "q": a["q"], "x0": a["x0"]}),
-    ("if2", "frechet", "b = 1", "up",
-     lambda a: {"b": 1.0, "c": a["c"], "q": a["q"], "x0": a["x0"]}),
-    ("pareto_iii", "fisk", "x0 = 0", "down",
-     lambda a: {"b": 1.0 / a["gamma"], "c": a["c"]}),
-    ("tadikamalla_burr_xii", "fisk", "q = 1", "up",
-     lambda a: {"b": a["b"], "c": a["c"], "q": 1.0}),
-    ("tadikamalla_burr_xii", "burr_xii", "c = 1", "up",
-     lambda a: {"b": a["b"], "c": 1.0, "q": a["q"]}),
-    ("tadikamalla_burr_xii", "lomax", "b = 1", "up",
-     lambda a: {"b": 1.0, "c": a["c"], "q": a["q"]}),
-    ("pareto_ii", "lomax", "x0 = 0", "up",
-     lambda a: {"c": a["c"], "q": a["q"], "x0": 0.0}),
-    ("pareto_ii", "pareto_i", "x0 = c", "up",
-     lambda a: {"c": a["x0"], "q": a["q"], "x0": a["x0"]}),
-    ("generalized_lomax", "lomax", "p = 0", "up",
-     lambda a: {"m": 1.0, "c": a["c"], "q": a["q"]}),
-    ("stoppa", "pareto_i", "p = 0", "up",
-     lambda a: {"m": 1.0, "c": a["x0"], "q": a["q"]}),
-    ("generalized_lomax", "gumbel_ii", "p -> inf", "up",
-     lambda a: {"m": INF, "c": a["c"], "q": a["q"]}),
-    ("stoppa", "gumbel_ii", "p -> inf", "up",
-     lambda a: {"m": INF, "c": a["c"], "q": a["q"]}),
-    ("frechet", "gumbel_ii", "x0 = 0", "up",
-     lambda a: {"c": a["c"], "q": a["q"], "x0": 0.0}),
-    ("gumbel_ii", "inverse_exponential", "q = 1", "up",
-     lambda a: {"c": a["c"], "q": 1.0}),
-    ("gumbel_ii", "inverse_rayleigh", "q = 2", "up",
-     lambda a: {"c": a["c"], "q": 2.0}),
+    (*edge, _binder(*edge)) for edge in [
+        ("if", "if1", "p = 0", "up"),
+        ("if", "if3", "b = 1", "up"),
+        ("if", "if2", "p -> inf", "up"),
+        ("if1", "pareto_iii", "q = 1", "up"),
+        ("if1", "tadikamalla_burr_xii", "x0 = 0", "up"),
+        ("if1", "pareto_ii", "b = 1", "up"),
+        ("if3", "pareto_ii", "p = 0", "up"),
+        ("if3", "generalized_lomax", "x0 = 0", "up"),
+        ("if3", "stoppa", "x0 = c (p+1)^(-1/q)", "up"),
+        ("if3", "frechet", "p -> inf", "up"),
+        ("if2", "frechet", "b = 1", "up"),
+        ("pareto_iii", "fisk", "x0 = 0", "down"),
+        ("tadikamalla_burr_xii", "fisk", "q = 1", "up"),
+        ("tadikamalla_burr_xii", "burr_xii", "c = 1", "up"),
+        ("tadikamalla_burr_xii", "lomax", "b = 1", "up"),
+        ("pareto_ii", "lomax", "x0 = 0", "up"),
+        ("pareto_ii", "pareto_i", "x0 = c", "up"),
+        ("generalized_lomax", "lomax", "p = 0", "up"),
+        ("stoppa", "pareto_i", "p = 0", "up"),
+        ("generalized_lomax", "gumbel_ii", "p -> inf", "up"),
+        ("stoppa", "gumbel_ii", "p -> inf", "up"),
+        ("frechet", "gumbel_ii", "x0 = 0", "up"),
+        ("gumbel_ii", "inverse_exponential", "q = 1", "up"),
+        ("gumbel_ii", "inverse_rayleigh", "q = 2", "up"),
+    ]
 ]
 
 
@@ -419,12 +402,9 @@ def _checked(e: CatalogEntry, args: dict) -> tuple[dict[str, float], IFParams]:
     expected = [pname for pname, _ in e.free_parameters]
     missing = [pn for pn in expected if pn not in args]
     extra = [k for k in args if k not in expected]
-    if missing or extra:
-        bits = []
-        if missing:
-            bits.append(f"missing {', '.join(missing)}")
-        if extra:
-            bits.append(f"unexpected {', '.join(extra)}")
+    bits = [f"{what} {', '.join(names)}" for what, names
+            in (("missing", missing), ("unexpected", extra)) if names]
+    if bits:
         raise DomainError(f"{e.name} takes ({', '.join(expected)}): "
                           + "; ".join(bits))
     clean = {k: float(v) for k, v in args.items()}
@@ -457,19 +437,20 @@ def resolve(params: IFParams) -> list[str]:
 
 
 def table1_mean(name: str, **args) -> MomentResult:
-    """The printed mean formula of a named case where its printed constraint
-    holds, else the violated existence condition of the first moment; at an
-    infinite argument (no limit in floating point) the family point's mean."""
+    """The printed mean formula of a named case where the first moment exists
+    at its family point (`moment_exists`, the rule `mean` uses), else the
+    violated existence condition; at an infinite argument (no limit in
+    floating point) the family point's mean."""
     e = entry(name)
     if e.mean_text is None:
         raise DomainError(f"{name} has no tabled mean expression")
     args, pa = _checked(e, args)
     if any(map(math.isinf, args.values())):
         return mean(pa)
-    constraint = e.mean_constraint
-    if constraint is None or (constraint != _NEVER and _evaluate(constraint, args)):
+    exists, condition = moment_exists(pa, 1)
+    if exists:
         return MomentResult.closed_form(_evaluate(e.mean_text, args))
-    return MomentResult.non_existent(moment_exists(pa, 1)[1])
+    return MomentResult.non_existent(condition)
 
 
 def records() -> list[dict]:

@@ -233,14 +233,18 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-8,
     if math.isinf(hi):
         def g(us):
             xs = lo + np.expm1(us)
-            return np.asarray(f(xs), dtype=float) * np.exp(us)
+            with np.errstate(over="ignore"):
+                return np.asarray(f(xs), dtype=float) * np.exp(us)
 
         # tail sentinel: mass invisible beyond the largest representable x
-        # shows up as a non-negligible transformed integrand at u = U_MAX
+        # shows up as a non-negligible transformed integrand at u = U_MAX;
+        # an infinite one leaves nothing for the refinement to converge to
         tail = float(np.atleast_1d(g(np.array([_U_MAX])))[0])
         extra_evals = 1
         if math.isnan(tail):
             raise NumericFailure("integrand returned NaN near the upper limit")
+        if math.isinf(tail):
+            return QuadratureResult(math.inf, math.inf, False, extra_evals)
         extra_err = 100.0 * abs(tail)
 
         mesh = [0.0, 1e-9, 1e-6, 1e-3, 0.05, 0.25, 1.0, 2.0, 4.0, 7.0,

@@ -71,8 +71,8 @@ class ModeResult:
     n_candidates: int = 0  # interior stationary points examined (general path)
 
     @staticmethod
-    def boundary(x0: float, density: float) -> "ModeResult":
-        return ModeResult(ModeKind.BOUNDARY, x0, density)
+    def boundary(x0: float, density: float, n_candidates: int = 0) -> "ModeResult":
+        return ModeResult(ModeKind.BOUNDARY, x0, density, n_candidates)
 
     @staticmethod
     def interior(x: float, density: float, n_candidates: int = 0) -> "ModeResult":
@@ -165,34 +165,32 @@ def _closed_form_mode(params: IFParams, sub: Subfamily) -> float:
 
 def mode(params: IFParams) -> ModeResult:
     """Global maximizer of the density: a vertical asymptote at x0 where the
-    density diverges there (`boundary_behavior`), else x0 itself or an
-    interior point, which off the subfamilies is the best stationary root."""
+    density diverges there (`boundary_behavior`), else the best of x0 and
+    the candidates, which are a subfamily's closed-form interior mode or,
+    off the subfamilies, the stationary roots."""
     d = IFDistribution(params)
     e = d._boundary_exponent()
     if e < 0:
         return ModeResult.asymptote(params.x0)
     sub = classify(params)
-    if sub is not Subfamily.GENERAL:
-        if e == 0:
-            return ModeResult.boundary(params.x0, d._boundary)
-        x = _closed_form_mode(params, sub)
-        return ModeResult.interior(x, d.pdf(x))
-
-    roots = solve_mode_equation(params)
+    if sub is Subfamily.GENERAL:
+        roots = solve_mode_equation(params)
+        xs, n = [mode_x_from_t(params, t) for t in roots], len(roots)
+    else:
+        xs, n = [_closed_form_mode(params, sub)] if e > 0 else [], 0
     best_x, best_f = params.x0, d._boundary
-    for t in roots:
-        x = mode_x_from_t(params, t)
+    for x in xs:
         fx = d.pdf(x)
         if fx > best_f:
             best_x, best_f = x, fx
     if best_x != params.x0:
-        return ModeResult.interior(best_x, best_f, len(roots))
+        return ModeResult.interior(best_x, best_f, n)
     if e > 0:
         # the density is 0 at x0 and positive above it: a root was missed,
-        # or it lies closer to x0 than the doubles resolve
+        # or the mode lies closer to x0 than the doubles resolve
         raise NumericFailure(f"no stationary point resolved above the zero "
                              f"density at x0 of {params}")
-    return ModeResult(ModeKind.BOUNDARY, params.x0, best_f, len(roots))
+    return ModeResult.boundary(params.x0, best_f, n)
 
 
 _AXIS_NAMES = ("p", "b", "c", "q", "x0")

@@ -54,7 +54,7 @@ _LIMIT = 2000
 # The [0, 1] form aims at this relative tolerance and fails above the bound.
 _UNIT_RTOL = 1e-14
 _UNIT_MAX_REL_ERR = 1e-10
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
 
 
@@ -203,6 +203,8 @@ def _unit_moment(params: IFParams, k: int) -> tuple[float, float]:
     scale = e0 + e1
     for _ in range(2):
         tol = _UNIT_RTOL * scale
+        if not tol > 0.0:  # the integrand is below the doubles, the moment may not be
+            raise NumericFailure(f"[0, 1] moment form of {params} k={k} underflows")
         parts = [integrate(f, lo, hi, tol=tol, limit=_LIMIT)
                  for f, lo, hi in pieces]
         total = ends + sum(r.value for r in parts)
@@ -221,23 +223,44 @@ def _unit_moment(params: IFParams, k: int) -> tuple[float, float]:
     return value, value * (err / total)
 
 
+def _ln_gamma_error(x: float, dx: float) -> float:
+    """Error bound of ln_gamma(x) in a sum, x off by up to dx: a few eps of
+    |ln_gamma| <= (x + 1)|ln x| + 1, plus dx |digamma| <= dx (1/x + |ln x| + 1)."""
+    ln_x = abs(math.log(x))
+    return 4.0 * _EPS * ((x + 1.0) * ln_x + 1.0) + (1.0 / x + ln_x + 1.0) * dx
+
+
 def _standard_moment(params: IFParams, k: int) -> tuple[float, float]:
-    """(E[Y^k], abs error) with Y = (X - x0)/c: closed forms (error 0) on
-    the subfamilies, the [0, 1] form elsewhere; E[Y^0] = 1 exactly."""
+    """(E[Y^k], abs error) with Y = (X - x0)/c: closed forms and their rounding
+    bounds on the subfamilies, the [0, 1] form elsewhere; E[Y^0] = 1."""
     if k == 0:
         return 1.0, 0.0
-    b, q = params.b, params.q
+    b, q, m = params.b, params.q, params.p + 1.0
     sub = classify(params)
-    if sub is Subfamily.IF1:
-        return q * beta(q - k / b, 1.0 + k / b), 0.0
-    if sub is Subfamily.IF2:
-        return math.exp(ln_gamma(1.0 - k / (b * q))), 0.0
     if sub is Subfamily.GENERAL:
         return _unit_moment(params, k)
-    m = params.p + 1.0
-    return m ** (1.0 - k / q) * sum(
-        math.comb(k, j) * (-1.0) ** j * beta(1.0 - (k - j) / q, m)
-        for j in range(k + 1)), 0.0
+    if sub is Subfamily.IF2:
+        x, dx = 1.0 - k / (b * q), _EPS * (1.0 + 3.0 * abs(k / (b * q)))
+        value = math.exp(ln_gamma(x))
+        return value, value * (_ln_gamma_error(x, dx) + 2.0 * _EPS)
+    # scale times a sum of coef B(x, y), with x and y off by up to dx, dy
+    if sub is Subfamily.IF1:
+        kb = abs(k / b)
+        scale, d_scale = q, _EPS
+        terms = [(1.0, q - k / b, 1.0 + k / b,
+                  _EPS * (q + 2.0 * kb), _EPS * (1.0 + 2.0 * kb))]
+    else:
+        scale = m ** (1.0 - k / q)
+        # the exponent off by eps (1 + 2k/q), times ln m, and m by eps m
+        d_scale = _EPS * (math.log(m) * (1.0 + 2.0 * k / q) + abs(1.0 - k / q) + 2.0)
+        terms = [(math.comb(k, j) * (-1.0) ** j, 1.0 - (k - j) / q, m,
+                  _EPS * (1.0 + 2.0 * k / q), _EPS * m) for j in range(k + 1)]
+    vals = [coef * beta(x, y) for coef, x, y, _, _ in terms]
+    value = scale * sum(vals)
+    err = sum(abs(v) * (_ln_gamma_error(x, dx) + _ln_gamma_error(y, dy) + (k + 5) * _EPS
+                        + _ln_gamma_error(x + y, dx + dy + _EPS * (x + y)))
+              for v, (_, x, y, dx, dy) in zip(vals, terms))
+    return value, abs(scale) * err + abs(value) * d_scale
 
 
 def _binomial(params: IFParams, r: int) -> tuple[float, float]:
@@ -305,39 +328,43 @@ def mean(params: IFParams) -> MomentResult:
 def _variance(params: IFParams) -> MomentResult:
     c, q, p = params.c, params.q, params.p
     sub = classify(params)
-    if sub is Subfamily.IF1 or sub is Subfamily.IF2:
-        (m1, _), (m2, _) = (_standard_moment(params, k) for k in (1, 2))
-        return MomentResult.closed_form(c * c * (m2 - m1 * m1))
-    if sub is Subfamily.IF3:
-        # written out, like the IF3 mean, for its last-bit rounding
-        m = p + 1.0
-        b1 = beta(1.0 - 1.0 / q, m) - 1.0 / m
-        b2 = (beta(1.0 - 2.0 / q, m) - 2.0 * beta(1.0 - 1.0 / q, m) + 1.0 / m)
-        val = c * c * (m ** (1.0 - 2.0 / q) * b2 - m ** (2.0 - 2.0 / q) * b1 * b1)
-        return MomentResult.closed_form(val)
-    m1 = _x_space_moment(params, 1)
-    m2 = None if m1 is None else _x_space_moment(params, 2)
-    if m1 is None or m2 is None:
-        # c^2 Var(Y) from the [0, 1] form; x0 drops out
+    if sub is not Subfamily.GENERAL:
         (v1, e1), (v2, e2) = (_standard_moment(params, k) for k in (1, 2))
-        scale, provenance = c * c, UNIT_INTERVAL
+        val = v2 - v1 * v1
+        if sub is Subfamily.IF3:
+            # written out, like the IF3 mean, for its last-bit rounding
+            m = p + 1.0
+            b1 = beta(1.0 - 1.0 / q, m) - 1.0 / m
+            b2 = (beta(1.0 - 2.0 / q, m) - 2.0 * beta(1.0 - 1.0 / q, m) + 1.0 / m)
+            val = m ** (1.0 - 2.0 / q) * b2 - m ** (2.0 - 2.0 / q) * b1 * b1
+        # the subtraction's rounding: its operands' bounds, and the square
+        # and the difference rounded in doubles
+        e2 += 2.0 * _EPS * (v1 * v1 + abs(val))
+        scale, provenance = c * c, CLOSED_FORM
     else:
-        (v1, e1), (v2, e2) = (m1.value, m1.abs_error), (m2.value, m2.abs_error)
-        scale, provenance = 1.0, NUMERIC
-    # heavy tails make this subtraction genuinely cancellation-prone; an
-    # E[Y] beyond the doubles makes it inf - inf, which the exit reports
-    with np.errstate(invalid="ignore"):
-        val = float(np.longdouble(v2) - np.longdouble(v1) ** 2)
-    err = e2 + 2.0 * abs(v1) * e1
-    if val <= 0.0:
-        raise NumericFailure(
-            f"numeric variance lost all precision for {params}: {val!r}")
+        m1 = _x_space_moment(params, 1)
+        m2 = None if m1 is None else _x_space_moment(params, 2)
+        if m1 is None or m2 is None:
+            # c^2 Var(Y) from the [0, 1] form; x0 drops out
+            (v1, e1), (v2, e2) = (_standard_moment(params, k) for k in (1, 2))
+            scale, provenance = c * c, UNIT_INTERVAL
+        else:
+            (v1, e1), (v2, e2) = (m1.value, m1.abs_error), (m2.value, m2.abs_error)
+            scale, provenance = 1.0, NUMERIC
+        # heavy tails make this subtraction genuinely cancellation-prone; an
+        # E[Y] beyond the doubles makes it inf - inf, which the exit reports
+        with np.errstate(invalid="ignore"):
+            val = float(np.longdouble(v2) - np.longdouble(v1) ** 2)
     return MomentResult(value=scale * val, provenance=provenance,
-                        abs_error=scale * err)
+                        abs_error=scale * (e2 + 2.0 * abs(v1) * e1))
 
 
 def variance(params: IFParams) -> MomentResult:
-    """Variance; scale-squared closed forms on the subfamilies (the location
-    x0 drops out), numeric second-moment-minus-squared-mean elsewhere, and
-    c^2 Var(Y) from the [0, 1] form where that quadrature cannot finish."""
-    return _moment(params, 2, lambda: _variance(params))
+    """Variance: c^2 Var(Y) from the closed forms on the subfamilies and from
+    the [0, 1] form where the quadrature of E[X^2] - E[X]^2 cannot finish;
+    a value not above its abs_error raises NumericFailure."""
+    res = _moment(params, 2, lambda: _variance(params))
+    if res.exists and not res.value > res.abs_error:
+        raise NumericFailure(f"the variance {res.value!r} of {params} is not "
+                             f"above its error bound {res.abs_error:.3e}")
+    return res

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 from itertools import product
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from ifdist.catalog import (
     table1_mean,
 )
 from ifdist.kernels import beta
-from ifdist.moments import mean
+from ifdist.moments import mean, moment_exists
 
 INF = math.inf
 
@@ -161,6 +163,19 @@ class TestResolve:
                  if resolve(IFParams(*pt)) != data["outcomes"][k]]
         assert not wrong, wrong[:5]
 
+    def test_read_back_parameter_is_not_compared(self):
+        # 1/(1/49) is 49.00000000000001: b holds by the inverse gamma = 1/b
+        assert 1.0 / (1.0 / 49.0) != 49.0
+        names = resolve(IFParams(0.0, 49.0, 1.0, 1.0, 0.0))
+        assert "pareto_iv" in names and "pareto_iii" in names
+
+    def test_arguments_no_double_reaches(self):
+        # m = p + 1 rounds to 1 (not > 1), gamma = 1/b overflows to inf, and
+        # m = inf is the p -> inf edge to Gumbel II, not a member
+        assert resolve(IFParams(1e-20, 1.0, 1.0, 2.0, 0.0)) == ["if3"]
+        assert "pareto_iv" not in resolve(IFParams(0.0, 1e-310, 1.0, 2.0, 0.0))
+        assert "generalized_lomax" not in resolve(IFParams(INF, 1.0, 1.0, 2.0, 0.0))
+
     def test_invalid_point_rejected(self):
         # q = 0 used to reach the Stoppa predicate's 1/q
         with pytest.raises(DomainError, match="q must be positive"):
@@ -212,6 +227,32 @@ class TestTable1Mean:
         assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-15)
         assert table1_mean(name, m=INF, c=1, q=0.5).constraint == "requires r < bq"
 
+    def test_existence_is_the_moment_rule(self, monkeypatch):
+        # the printed constraint is text: existence comes from moment_exists
+        # at the family point, as for mean()
+        monkeypatch.setitem(CATALOG, "lomax", dataclasses.replace(
+            CATALOG["lomax"], mean_constraint="q > 100"))
+        assert table1_mean("lomax", c=3, q=4).value == pytest.approx(1.0, rel=1e-14)
+
+    def test_printed_constraint_states_the_rule(self):
+        # the printed mean_constraint holds exactly where the first moment
+        # exists, on log-uniform draws on both sides of it; "violated" marks
+        # a row whose mean exists nowhere
+        u = UniformStream(31)
+        for e in CATALOG.values():
+            if e.mean_constraint is None:
+                continue
+            for _ in range(200):
+                args = {}
+                for pname, text in e.free_parameters:
+                    mag = 10.0 ** (4.0 * next(u) - 2.0)
+                    args[pname] = (1.0 + mag if pname == "m"
+                                   else -mag if "< 0" in text else mag)
+                printed = (False if e.mean_constraint == "violated"
+                           else _evaluate(e.mean_constraint, args))
+                assert printed == moment_exists(named(e.name, **args), 1)[0], (
+                    e.name, args)
+
     def test_fixture_equality_against_moments(self):
         # every tabled row, 20 seeded draws: printed formula == mean machinery
         u = UniformStream(7)
@@ -256,12 +297,17 @@ class TestFormulaTexts:
 class TestTree:
     def test_every_edge_is_exact(self):
         # drawing arguments on one side and pinning the edge condition must
-        # reproduce the other side's parameter map exactly
+        # reproduce the other side's parameter map exactly; the family "if"
+        # takes the five parameters themselves
         u = UniformStream(99)
         for parent, child, cond, direction, binder in TREE_EDGES:
+            ce = CATALOG[child]
             if parent == "if":
+                for _ in range(5):
+                    cargs = draw_args(ce, u)
+                    assert IFParams(**binder(cargs)) == ce.to_if(**cargs), child
                 continue
-            pe, ce = CATALOG[parent], CATALOG[child]
+            pe = CATALOG[parent]
             for _ in range(5):
                 if direction == "up":
                     cargs = draw_args(ce, u)
@@ -271,6 +317,18 @@ class TestTree:
                     pargs["x0"] = 0.0  # the pinned condition of the down edge
                     cargs = binder(pargs)
                 assert pe.to_if(**pargs) == ce.to_if(**cargs), (parent, child)
+
+    def test_every_condition_holds_on_the_child(self):
+        # each drawn condition ("q = 1", "x0 = c (p+1)^(-1/q)", "p -> inf"),
+        # read by the formula reader, holds on the child's family point
+        u = UniformStream(5)
+        for parent, child, cond, _, _ in TREE_EDGES:
+            lhs, rhs = re.split(r" = | -> ", cond)
+            for _ in range(20):
+                point = dataclasses.asdict(CATALOG[child].to_if(
+                    **draw_args(CATALOG[child], u)))
+                assert _evaluate(lhs, point) == _evaluate(rhs, point), (
+                    parent, child, cond, point)
 
     def test_root_edges_present(self):
         roots = [(p, c) for p, c, _, _, _ in TREE_EDGES if p == "if"]

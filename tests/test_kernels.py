@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,14 @@ class TestIntegrate:
         right = integrate(f, 1.2, 3.0, 1e-11)
         tol = whole.abs_error_estimate + left.abs_error_estimate + right.abs_error_estimate
         assert abs(left.value + right.value - whole.value) <= tol + 1e-14
+
+    def test_overflowing_tail_is_unconverged(self):
+        # f(x) e^u overflows at the upper-limit probe: no warning, and no
+        # refinement of an integral that cannot converge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = integrate(lambda x: np.full(np.shape(x), 1e300), 0.0, math.inf, 1e-8)
+        assert not r.converged and r.value == math.inf and r.evaluations == 1
 
     def test_bad_bounds(self):
         with pytest.raises(DomainError):

@@ -322,6 +322,25 @@ class TestGeneralSearchFailsHonestly:
                 mode(IFParams(1e300, 1.5, 1.0, 2.0, 0.0))
 
 
+class TestOneWeighingRule:
+    # a subfamily's closed-form mode is weighed against x0 as the General
+    # roots are: closer to x0 than the doubles resolve, it reads density 0
+    # there (the densities at the true modes are 6.5e48 and 5.5e48)
+    @pytest.mark.parametrize("pa", [IFParams(0.0, 2.0, 1e-49, 1.0, 0.0017),
+                                    IFParams(3.0, 1.0, 1e-49, 1.0, 0.0017)])
+    def test_unresolved_subfamily_mode_raises(self, pa):
+        assert boundary_behavior(pa).kind is BoundaryKind.ZERO
+        with pytest.raises(NumericFailure, match="no stationary point resolved"):
+            mode(pa)
+
+    def test_resolved_subfamily_mode_keeps_its_bits(self):
+        pa = IFParams(0.0, 2.0, 1e-3, 1.0, 0.0017)
+        res = mode(pa)
+        x = 0.0017 + 1e-3 * (1.0 / 3.0) ** 0.5
+        assert (res.kind, res.x, res.n_candidates) == (ModeKind.INTERIOR, x, 0)
+        assert res.density == IFDistribution(pa).pdf(x)
+
+
 class TestModeGrid:
     def test_if1_interior_block(self):
         template = IFParams(0.0, 1.0, 1.0, 1.0, 0.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,14 @@ class TestOneExit:
         with pytest.raises(NumericFailure, match="moment of IFParams"):
             fn(pa)
 
+    @pytest.mark.parametrize("fn", [mean, variance, lambda pa: raw_moment(pa, 2)])
+    def test_overflowing_tail_warns_nothing(self, fn):
+        # the x-space integrand overflows at the upper-limit probe
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure):
+                fn(IFParams(100.0, -0.1, 1.0, 0.05, 0.0))
+
     def test_finite_neighbours_still_answer(self):
         assert mean(IFParams(INF, -1.0, 1.0, 0.01, 0.0)).value == pytest.approx(
             math.factorial(100), rel=1e-12)
@@ -165,6 +174,42 @@ class TestOneExit:
             m = mean(pa)
             if m.exists:
                 assert m.value == raw_moment(pa, 1).value, pa
+
+
+class TestClosedFormVarianceError:
+    # c^2 (E[Y^2] - E[Y]^2) cancels at large |b|q; the variances from
+    # 50-digit mpmath
+    @pytest.mark.parametrize("pa", [IFParams(INF, 1e4, 1.0, 1e4, 0.0),
+                                    IFParams(INF, -1e4, 1.0, 1e4, 0.0)])
+    def test_value_not_above_its_error_raises(self, pa):
+        # the doubles give 2.2e-16 and 1.1e-16; the true values are 1.645e-16
+        with pytest.raises(NumericFailure, match="not above its error bound"):
+            variance(pa)
+
+    def test_error_covers_the_beta_rounding(self):
+        # 0.15% off: the betas at q = 1e4 carry ln_gamma values near 8e4
+        res = variance(IFParams(0.0, -1e4, 1.0, 1e4, 0.0))
+        assert res.provenance == CLOSED_FORM
+        assert res.value == 1.6510019351656524e-08
+        assert abs(res.value - 1.64849834290597e-08) <= res.abs_error < 0.1 * res.value
+
+    @pytest.mark.parametrize("pa", [IFParams(0.0, 2.0, 1.0, 3.0, 0.5),
+                                    IFParams(INF, -1.0, 2.0, 2.0, 0.0),
+                                    IFParams(3.0, 1.0, 1.0, 3.0, 0.0)])
+    def test_every_closed_form_states_an_error(self, pa):
+        res = variance(pa)
+        assert res.provenance == CLOSED_FORM
+        assert 0.0 < res.abs_error < 1e-12 * res.value
+
+
+class TestUnitIntervalUnderflow:
+    # both closed-form end terms underflow at large p and small q, so the
+    # quadrature tolerance would be 0; the p = inf limit of the mean is
+    # c Gamma(1 - 1/(bq)) = 2.8e37
+    @pytest.mark.parametrize("fn", [mean, variance, lambda pa: raw_moment(pa, 2)])
+    def test_numeric_failure_not_domain_error(self, fn):
+        with pytest.raises(NumericFailure, match="underflows"):
+            fn(IFParams(1e12, -0.15, 1.0, 0.2, 0.0))
 
 
 class TestVariance:
