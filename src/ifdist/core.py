@@ -84,6 +84,11 @@ def _power_offset(c: float, ln_scale: float, z, expo: float,
     return float(out) if scalar else out
 
 
+def _all_inside(v: np.ndarray, hi: float) -> bool:
+    """Whether every element lies in the open interval (0, hi)."""
+    return bool(((v > 0.0) & (v < hi)).all())
+
+
 def _coerce(x):
     """The scalar/array contract of every distribution function.
 
@@ -325,14 +330,12 @@ class IFDistribution:
         support boundary.
         """
         ds, unwrap = _coerce(delta)
-        out = np.zeros(ds.shape)
-        interior = (ds > 0) & (ds < math.inf)
-        if interior.any():
-            with np.errstate(all="ignore"):
-                terms = self._terms(ds[interior], self.p > 0)
-                out[interior] = np.exp(self._ln_density(*terms))
-        out[ds == 0.0] = self._boundary
-        out[np.isnan(ds)] = np.nan
+        with np.errstate(all="ignore"):
+            out = np.exp(self._ln_density(*self._terms(ds, self.p > 0)))
+        if not _all_inside(ds, math.inf):
+            out[(ds < 0.0) | (ds == math.inf)] = 0.0
+            out[ds == 0.0] = self._boundary
+            out[np.isnan(ds)] = np.nan
         return unwrap(out)
 
     def log_pdf(self, x):
@@ -349,19 +352,16 @@ class IFDistribution:
         """cdf (lower) or survival at the offsets delta, each from its own
         branch."""
         ds, unwrap = _coerce(delta)
-        out = np.zeros(ds.shape) if lower else np.ones(ds.shape)
-        pos = ds > 0
-        if pos.any():
-            with np.errstate(all="ignore"):
-                _, g, ln_1mw = self._terms(ds[pos])
+        with np.errstate(all="ignore"):
+            _, g, ln_1mw = self._terms(ds)
             ln_plus = self._ln_sf_plus(g, ln_1mw)
-            if (self.b > 0) == lower:
-                out[pos] = np.exp(ln_plus)
-            else:
-                out[pos] = -np.expm1(ln_plus)
-        # the limits; at b < 0 the form above can round to NaN there
-        out[ds == math.inf] = 1.0 if lower else 0.0
-        out[np.isnan(ds)] = np.nan
+            out = np.exp(ln_plus) if (self.b > 0) == lower else -np.expm1(ln_plus)
+        if not _all_inside(ds, math.inf):
+            # the limits; at b < 0 the form above can round to NaN at inf,
+            # and -expm1 gives a NaN offset a sign bit
+            out[ds <= 0.0] = 0.0 if lower else 1.0
+            out[ds == math.inf] = 1.0 if lower else 0.0
+            out[np.isnan(ds)] = np.nan
         return unwrap(out)
 
     def cdf(self, x):
@@ -442,19 +442,15 @@ class IFDistribution:
         ys, unwrap = _coerce(y)
         if np.isnan(ys).any() or (ys < 0).any() or (ys > 1).any():
             raise DomainError("quantile requires y in [0, 1]")
-        out = np.empty(ys.shape)
-        out[ys == 0.0] = 0.0
-        out[ys == 1.0] = math.inf
-        mid = (ys > 0.0) & (ys < 1.0)
-        if mid.any():
-            ym = ys[mid]
-            ln_y = np.log(ym)
-            ln_1my = np.log1p(-ym)
-            with np.errstate(over="ignore", invalid="ignore"):
-                if self.b > 0:
-                    out[mid] = self._quantile_plus_offset(ln_y, ln_1my)
-                else:
-                    out[mid] = self._quantile_plus_offset(ln_1my, ln_y)
+        with np.errstate(all="ignore"):
+            ln_y, ln_1my = np.log(ys), np.log1p(-ys)
+            if self.b > 0:
+                out = self._quantile_plus_offset(ln_y, ln_1my)
+            else:
+                out = self._quantile_plus_offset(ln_1my, ln_y)
+        if not _all_inside(ys, 1.0):
+            out[ys == 0.0] = 0.0
+            out[ys == 1.0] = math.inf
         return unwrap(out)
 
     def quantile(self, y):

@@ -103,11 +103,14 @@ def _residual_factory(params: IFParams):
 
     def residual(t):
         t = np.asarray(t, dtype=float)
-        sm1 = np.expm1(-np.log(t) / q)   # t^(-1/q) - 1, exact near t = 1
-        s = sm1 + 1.0
-        return ((b - 1.0) * s * (1.0 - t)
-                - b * (q + 1.0) * sm1 * (1.0 - t)
-                + p * b * q * sm1 * t)
+        # at small q, t^(-1/q) overflows near t = 0; the residual is then
+        # +-inf or NaN there, which the sign test and find_root handle
+        with np.errstate(over="ignore", invalid="ignore"):
+            sm1 = np.expm1(-np.log(t) / q)   # t^(-1/q) - 1, exact near t = 1
+            s = sm1 + 1.0
+            return ((b - 1.0) * s * (1.0 - t)
+                    - b * (q + 1.0) * sm1 * (1.0 - t)
+                    + p * b * q * sm1 * t)
 
     return residual
 
@@ -147,7 +150,9 @@ def solve_mode_equation(params: IFParams, tol: float = 1e-14) -> list[float]:
 
 def mode_x_from_t(params: IFParams, t: float) -> float:
     """Map a root of the stationarity equation back to the x axis."""
-    b, c, q, p, x0 = params.b, params.c, params.q, params.p, params.x0
+    # Python floats: _power_offset's scalar power must raise OverflowError
+    # rather than warn as a numpy scalar power does
+    b, c, q, p, x0 = map(float, (params.b, params.c, params.q, params.p, params.x0))
     ln_scale = -math.log1p(p) / (b * q)
     return x0 + _power_offset(c, ln_scale, -math.log(t) / q, 1.0 / b)
 

@@ -72,8 +72,8 @@ class MomentResult:
         return self.constraint is None
 
     @staticmethod
-    def closed_form(value: float) -> "MomentResult":
-        return MomentResult(value=value, provenance=CLOSED_FORM)
+    def closed_form(value: float, abs_error: float = 0.0) -> "MomentResult":
+        return MomentResult(value=value, provenance=CLOSED_FORM, abs_error=abs_error)
 
     @staticmethod
     def numeric(value: float, abs_error: float) -> "MomentResult":
@@ -265,21 +265,23 @@ def _standard_moment(params: IFParams, k: int) -> tuple[float, float]:
 
 def _binomial(params: IFParams, r: int) -> tuple[float, float]:
     """(E[X^r], abs error) from the binomial expansion of (x0 + c Y)^r over
-    the standardised moments."""
+    the standardised moments; the error includes the rounding of the
+    weights, the products and the sum."""
     x0, c = params.x0, params.c
     total = err = 0.0
     for i in range(r + 1):
         w = math.comb(r, i) * x0 ** i * c ** (r - i)
         m, e = _standard_moment(params, r - i)
         total += w * m
-        err += w * e
+        err += w * e + (r + 4) * _EPS * abs(w * m)
     return total, err
 
 
 def _moment(params: IFParams, r: int, body) -> MomentResult:
     """The one way in and out of raw_moment, mean and variance: validate,
     answer non_existent where the r-th moment does not exist, and raise
-    NumericFailure where body()'s value leaves the doubles."""
+    NumericFailure where body()'s value leaves the doubles or is not above
+    its abs_error (every raw moment and variance is positive)."""
     IFDistribution(params)  # validate
     ok, condition = moment_exists(params, r)
     if not ok:
@@ -290,13 +292,16 @@ def _moment(params: IFParams, r: int, body) -> MomentResult:
         raise NumericFailure(f"a moment of {params} overflowed: {exc}") from exc
     if not math.isfinite(res.value):
         raise NumericFailure(f"a moment of {params} is {res.value!r}")
+    if not res.value > res.abs_error:
+        raise NumericFailure(f"a moment {res.value!r} of {params} is not "
+                             f"above its error bound {res.abs_error:.3e}")
     return res
 
 
 def _raw_moment(params: IFParams, r: int) -> MomentResult:
     if classify(params) is Subfamily.GENERAL:
         return _numeric_moment(params, r)
-    return MomentResult.closed_form(_binomial(params, r)[0])
+    return MomentResult.closed_form(*_binomial(params, r))
 
 
 def raw_moment(params: IFParams, r) -> MomentResult:
@@ -309,15 +314,17 @@ def raw_moment(params: IFParams, r) -> MomentResult:
 def _mean(params: IFParams) -> MomentResult:
     b, c, q, x0, p = params.b, params.c, params.q, params.x0, params.p
     sub = classify(params)
+    res = _raw_moment(params, 1)
     # the IF1 and IF3 forms stay written out: their rounding differs in the
-    # last bit from x0 + c E[Y]
+    # last bits from x0 + c E[Y], whose bound they take, plus those roundings
     if sub is Subfamily.IF1:
-        return MomentResult.closed_form(x0 + c * q * beta(q - 1.0 / b, 1.0 + 1.0 / b))
-    if sub is Subfamily.IF3:
+        val = x0 + c * q * beta(q - 1.0 / b, 1.0 + 1.0 / b)
+    elif sub is Subfamily.IF3:
         m = p + 1.0
         val = x0 + c * m ** (1.0 - 1.0 / q) * (beta(1.0 - 1.0 / q, m) - 1.0 / m)
-        return MomentResult.closed_form(val)
-    return _raw_moment(params, 1)
+    else:
+        return res
+    return MomentResult.closed_form(val, res.abs_error + 4.0 * _EPS * abs(val))
 
 
 def mean(params: IFParams) -> MomentResult:
@@ -361,10 +368,5 @@ def _variance(params: IFParams) -> MomentResult:
 
 def variance(params: IFParams) -> MomentResult:
     """Variance: c^2 Var(Y) from the closed forms on the subfamilies and from
-    the [0, 1] form where the quadrature of E[X^2] - E[X]^2 cannot finish;
-    a value not above its abs_error raises NumericFailure."""
-    res = _moment(params, 2, lambda: _variance(params))
-    if res.exists and not res.value > res.abs_error:
-        raise NumericFailure(f"the variance {res.value!r} of {params} is not "
-                             f"above its error bound {res.abs_error:.3e}")
-    return res
+    the [0, 1] form where the quadrature of E[X^2] - E[X]^2 cannot finish."""
+    return _moment(params, 2, lambda: _variance(params))

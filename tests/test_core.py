@@ -18,7 +18,7 @@ from ifdist import (
     new_distribution,
     p_exponential,
 )
-from ifdist.modes import mode_x_from_t
+from ifdist.modes import boundary_behavior, mode_x_from_t
 
 INF = math.inf
 
@@ -675,3 +675,48 @@ def test_scalar_array_contract(fn, v, nan_passes):
     else:
         with pytest.raises(DomainError):
             fn(math.nan)
+
+
+# IF1+-, IF2+-, IF3 and General+-
+_ONE_PASS_POINTS = [
+    IFParams(0.0, 2.0, 1.0, 1.5, 0.0), IFParams(0.0, -2.0, 1.0, 1.5, 0.3),
+    IFParams(INF, 1.5, 2.0, 1.0, 0.0), IFParams(INF, -0.7, 1.0, 2.0, 0.0),
+    IFParams(2.0, 1.0, 1.0, 3.0, 0.0), IFParams(2.5, 1.7, 1.3, 2.2, 0.1),
+    IFParams(0.5, -1.5, 1.0, 2.0, 0.0), IFParams(0.5, 1.0, 0.5, 1.0, 0.0),
+]
+# interior offsets over the whole double range, so y = ds/c leaves the
+# normal doubles, and probabilities next to both ends
+_OFFSETS = np.concatenate([np.geomspace(1e-300, 1e300, 61), [5e-324, 0.3, 1.0, 7.5]])
+_PROBS = np.concatenate([np.geomspace(1e-300, 0.5, 40), 1.0 - np.geomspace(1e-16, 0.4, 20)])
+
+
+class TestOnePassSurface:
+    """Entries outside the open domain are overwritten after one pass over
+    all of them: the interior keeps its bits, the rest read their limits."""
+
+    @staticmethod
+    def _surfaces(pa):
+        d = IFDistribution(pa)
+        lim = boundary_behavior(pa).value
+        return [(d.pdf_offset, _OFFSETS, [0.0, -1.0, INF, math.nan], [lim, 0.0, 0.0, math.nan]),
+                (d.cdf_offset, _OFFSETS, [0.0, -1.0, INF, math.nan], [0.0, 0.0, 1.0, math.nan]),
+                (d.sf_offset, _OFFSETS, [0.0, -1.0, INF, math.nan], [1.0, 1.0, 0.0, math.nan]),
+                (d.quantile_offset, _PROBS, [0.0, 1.0], [0.0, INF])]
+
+    @pytest.mark.parametrize("pa", _ONE_PASS_POINTS)
+    def test_interior_bits_and_limits(self, pa):
+        for fn, inside, edges, limits in self._surfaces(pa):
+            alone = fn(inside)
+            mixed = fn(np.concatenate([inside, edges]))
+            assert mixed[:inside.size].tobytes() == alone.tobytes()
+            assert alone.tobytes() == np.array([fn(float(v)) for v in inside]).tobytes()
+            assert mixed[inside.size:].tobytes() == np.array(limits).tobytes()
+
+    @pytest.mark.parametrize("pa", _ONE_PASS_POINTS)
+    def test_empty_and_zero_d(self, pa):
+        for fn, inside, edges, _ in self._surfaces(pa):
+            empty = fn(np.array([]))
+            assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+            for v in (inside[30], edges[0]):
+                zero_d = fn(np.array(v))
+                assert type(zero_d) is float and zero_d == fn([v])[0]

@@ -1,5 +1,8 @@
 import math
+import re
 import warnings
+from heapq import heappop, heappush
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +19,11 @@ from ifdist import (
     chunk_seed,
     find_root,
     integrate,
+    kernels,
     ln_gamma,
     maximize_scalar,
 )
+from ifdist.errors import NumericFailure
 
 # reference log-gamma values, 40-digit arithmetic rounded to double
 LN_GAMMA_REFS = [
@@ -130,6 +135,150 @@ class TestIntegrate:
             integrate(lambda x: x, 1.0, 1.0, 1e-8)
         with pytest.raises(DomainError):
             integrate(lambda x: x, 2.0, 1.0, 1e-8)
+
+
+def _gk15_one_interval(f, a, b):
+    # the quadrature as it was first written: f called on one interval's
+    # 15 nodes at a time; the reference for the batched node evaluation
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    ys = np.asarray(f(mid + half * kernels._NODES), dtype=float)
+    if np.isnan(ys).any():
+        raise NumericFailure(f"integrand returned NaN on [{a}, {b}]")
+    vk = half * float(kernels._WK @ ys)
+    vg = half * float(kernels._WGFULL @ ys)
+    resasc = half * float(kernels._WK @ np.abs(ys - vk / (b - a)))
+    diff = abs(vk - vg)
+    err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5) if resasc != 0.0 else diff
+    return vk, err, 15
+
+
+def _adapt_one_interval(f, breakpoints, tol, limit):
+    evals = 0
+    heap = []
+    segments = []
+    stuck_err = live_err = 0.0
+    counter = 0
+    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
+        v, e, n = _gk15_one_interval(f, a, b)
+        evals += n
+        counter += 1
+        live_err += e
+        heappush(heap, (-e, counter, a, b, v))
+    while (heap and stuck_err + live_err > tol and stuck_err <= tol
+           and evals < limit * 15):
+        neg_e, _, a, b, v = heappop(heap)
+        live_err += neg_e
+        m = 0.5 * (a + b)
+        if not (a < m < b):
+            segments.append((v, -neg_e))
+            stuck_err += -neg_e
+            continue
+        v1, e1, n1 = _gk15_one_interval(f, a, m)
+        v2, e2, n2 = _gk15_one_interval(f, m, b)
+        evals += n1 + n2
+        counter += 1
+        heappush(heap, (-e1, counter, a, m, v1))
+        counter += 1
+        heappush(heap, (-e2, counter, m, b, v2))
+        live_err += e1 + e2
+    values = [v for v, _ in segments] + [h[4] for h in heap]
+    errors = [e for _, e in segments] + [-h[0] for h in heap]
+    return math.fsum(values), math.fsum(errors), evals
+
+
+def integrate_one_interval(f, lo, hi, tol, limit=20000):
+    with mock.patch.object(kernels, "_adapt", _adapt_one_interval):
+        return integrate(f, lo, hi, tol, limit)
+
+
+class _Counted:
+    """An integrand that records the size of every call."""
+
+    def __init__(self, f):
+        self.f, self.sizes = f, []
+
+    def __call__(self, xs):
+        self.sizes.append(np.size(xs))
+        return self.f(xs)
+
+
+# IF1+-, IF2+-, IF3 and General+-
+DENSITY_POINTS = [
+    IFParams(0.0, 2.0, 1.0, 1.5, 0.0), IFParams(0.0, -2.0, 1.0, 1.5, 0.3),
+    IFParams(math.inf, 1.5, 2.0, 1.0, 0.0), IFParams(math.inf, -0.7, 1.0, 2.0, 0.0),
+    IFParams(2.0, 1.0, 1.0, 3.0, 0.0), IFParams(2.5, 1.7, 1.3, 2.2, 0.1),
+    IFParams(0.5, -1.5, 1.0, 2.0, 0.0),
+]
+
+
+class TestBatchedNodes:
+    """One integrand call per refinement step gives the bits of one call
+    per interval: value, error, convergence and evaluations."""
+
+    @pytest.mark.parametrize("pa", DENSITY_POINTS)
+    def test_density_over_the_half_line(self, pa):
+        f = IFDistribution(pa).pdf_offset
+        assert integrate(f, 0.0, math.inf, 1e-12) == integrate_one_interval(f, 0.0, math.inf, 1e-12)
+
+    # (b, q, p, r): moment cells whose upper decades spend the budget
+    @pytest.mark.parametrize("b, q, p, r", [(0.5, 0.5, 0.0, 2), (-0.5, 1.0, 1.0, 2),
+                                            (1.0, 1.0, 1.0, 2), (2.0, 0.5, 1.0, 2)])
+    def test_moment_decades_to_the_budget(self, b, q, p, r):
+        d = IFDistribution(IFParams(p, b, 1.0, q, 0.0))
+
+        def f(ds):
+            return np.where(ds > 0, ds, 0.0) ** r * d.pdf_offset(ds)
+
+        edges = [0.0] + [10.0 ** k for k in range(2, 7)]
+        got = [integrate(f, lo, hi, 1e-11, limit=60) for lo, hi in zip(edges[:-1], edges[1:])]
+        want = [integrate_one_interval(f, lo, hi, 1e-11, limit=60)
+                for lo, hi in zip(edges[:-1], edges[1:])]
+        assert got == want
+        assert not all(res.converged for res in got)
+
+    def test_one_call_for_the_mesh_and_one_per_step(self):
+        f = _Counted(lambda x: 1.0 / np.sqrt(x))
+        res = integrate(f, 0.0, 1.0, 1e-12)
+        steps = (res.evaluations - 14 * 15) // 30
+        assert steps > 0 and f.sizes == [14 * 15] + [30] * steps
+
+    def test_one_call_for_the_mesh_after_the_tail_probe(self):
+        f = _Counted(lambda x: np.exp(-x))
+        res = integrate(f, 0.0, math.inf, 1e-12)
+        steps = (res.evaluations - 1 - 16 * 15) // 30
+        assert steps > 0 and f.sizes == [1, 16 * 15] + [30] * steps
+
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_nan_on_one_half_names_that_half(self, half):
+        # NaN exactly at the nodes of one half of the first split, which
+        # no seed node hits
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            return 1.0 / np.sqrt(x)
+
+        integrate(f, 0.0, 1.0, 1e-12)
+        nan_at = seen[1][15 * half:15 * (half + 1)]
+
+        def g(x):
+            return np.where(np.isin(x, nan_at), math.nan, 1.0 / np.sqrt(x))
+
+        with pytest.raises(NumericFailure) as new:
+            integrate(g, 0.0, 1.0, 1e-12)
+        with pytest.raises(NumericFailure) as ref:
+            integrate_one_interval(g, 0.0, 1.0, 1e-12)
+        assert str(new.value) == str(ref.value)
+        lo, hi = map(float, re.findall(r"\[(.*), (.*)\]", str(new.value))[0])
+        assert (lo < nan_at).all() and (nan_at < hi).all()
+
+    def test_nan_names_the_first_interval_in_order(self):
+        g = lambda x: np.where(x > 0.5, math.nan, 1.0)
+        with pytest.raises(NumericFailure, match=re.escape("on [0.5, 0.7]")):
+            integrate(g, 0.0, 1.0, 1e-10)
+        with pytest.raises(NumericFailure, match=re.escape("on [0.5, 0.7]")):
+            integrate_one_interval(g, 0.0, 1.0, 1e-10)
 
 
 class TestFindRoot:

@@ -322,6 +322,27 @@ class TestGeneralSearchFailsHonestly:
                 mode(IFParams(1e300, 1.5, 1.0, 2.0, 0.0))
 
 
+class TestSmallQNoWarning:
+    # at small q, t^(-1/q) overflows in the stationarity residual near t = 0;
+    # and a numpy-scalar b made the map back to x a numpy scalar power,
+    # which warns where a Python float power raises OverflowError
+    def test_residual_overflow_is_not_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure, match="no stationary point resolved"):
+                mode(IFParams(2883.5927693182516, 0.09672790810659611, 1.0,
+                              0.02536210147367804, 0.0))
+
+    def test_numpy_scalar_parameter_reads_as_a_float(self):
+        b = 0.2886959377682714
+        points = [IFParams(3933.6142950656117, v, 1.0, 0.02642293876435011, 0.0)
+                  for v in (np.float64(b), b)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = (mode(pa) for pa in points)
+        assert want.kind is ModeKind.INTERIOR and got == want
+
+
 class TestOneWeighingRule:
     # a subfamily's closed-form mode is weighed against x0 as the General
     # roots are: closer to x0 than the doubles resolve, it reads density 0

@@ -202,6 +202,35 @@ class TestClosedFormVarianceError:
         assert 0.0 < res.abs_error < 1e-12 * res.value
 
 
+class TestClosedFormMeanError:
+    # the betas at q = 1e4 carry ln_gamma values near 8e4; 40-digit mpmath
+    # gives q B(q - 1/b, 1 + 1/b) = 1.00097923796990668 here
+    @pytest.mark.parametrize("fn", [mean, lambda pa: raw_moment(pa, 1)])
+    def test_error_covers_the_beta_rounding(self, fn):
+        res = fn(IFParams(0.0, -1e4, 1.0, 1e4, 0.0))
+        assert res.provenance == CLOSED_FORM
+        assert res.value == 1.0009792379563192
+        assert abs(res.value - 1.00097923796990668) <= res.abs_error < 1e-9
+
+    # at p = 1e200, p + 1.0 + (1 - 1/q) rounds to p + 1.0, so each beta
+    # reads 1 and their difference cancels: the written-out mean gives 1e198
+    # where the true value is about 0.996
+    @pytest.mark.parametrize("fn", [mean, lambda pa: raw_moment(pa, 1),
+                                    lambda pa: raw_moment(pa, 2)])
+    def test_value_not_above_its_error_raises(self, fn):
+        with pytest.raises(NumericFailure, match="not above its error bound"):
+            fn(IFParams(1e200, 1.0, 1.0, 100.0, 0.0))
+
+    @pytest.mark.parametrize("pa", [IFParams(0.0, 2.0, 1.0, 3.0, 0.5),
+                                    IFParams(INF, -1.0, 2.0, 2.0, 0.0),
+                                    IFParams(3.0, 1.0, 1.0, 3.0, 0.0)])
+    @pytest.mark.parametrize("fn", [mean, lambda pa: raw_moment(pa, 2)])
+    def test_every_closed_form_states_an_error(self, pa, fn):
+        res = fn(pa)
+        assert res.provenance == CLOSED_FORM
+        assert 0.0 < res.abs_error < 1e-12 * res.value
+
+
 class TestUnitIntervalUnderflow:
     # both closed-form end terms underflow at large p and small q, so the
     # quadrature tolerance would be 0; the p = inf limit of the mean is
