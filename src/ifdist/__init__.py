@@ -26,7 +26,6 @@ from .core import (
     Subfamily,
     classify,
     g_big,
-    new_distribution,
     p_exponential,
 )
 from .moments import MomentResult, mean, moment_exists, raw_moment, variance
@@ -60,7 +59,6 @@ __all__ = [
     "Subfamily",
     "classify",
     "g_big",
-    "new_distribution",
     "p_exponential",
     "MomentResult",
     "mean",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import IFParams
-from .errors import DomainError
+from .errors import DomainError, NumericFailure
 from .kernels import beta, ln_gamma
 from .moments import MomentResult, mean, moment_exists
 
@@ -448,9 +448,12 @@ def table1_mean(name: str, **args) -> MomentResult:
     if any(map(math.isinf, args.values())):
         return mean(pa)
     exists, condition = moment_exists(pa, 1)
-    if exists:
+    if not exists:
+        return MomentResult.non_existent(condition)
+    try:
         return MomentResult.closed_form(_evaluate(e.mean_text, args))
-    return MomentResult.non_existent(condition)
+    except OverflowError as exc:  # a Gamma or a power beyond the doubles
+        raise NumericFailure(f"the {name} mean at {args} overflowed: {exc}") from exc
 
 
 def records() -> list[dict]:

@@ -30,7 +30,6 @@ __all__ = [
     "IFParams",
     "Subfamily",
     "IFDistribution",
-    "new_distribution",
     "classify",
     "p_exponential",
     "g_big",
@@ -192,11 +191,6 @@ def g_big(params: IFParams, x):
         powered[far] = np.exp(params.b * d._ln_y(ds[far]))
     k = 0.0 if math.isinf(params.p) else math.exp(d._ln_k)
     return unwrap(k + powered)
-
-
-def new_distribution(params: IFParams) -> "IFDistribution":
-    """Validate params and return an immutable distribution value."""
-    return IFDistribution(params)
 
 
 class IFDistribution:

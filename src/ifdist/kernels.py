@@ -77,9 +77,12 @@ def ln_gamma(x: float) -> float:
 
 
 def beta(a: float, b: float) -> float:
-    """Beta function B(a, b) = exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a+b))."""
+    """Beta function B(a, b) = exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a+b)),
+    and B(1, y) = B(y, 1) = 1/y exactly."""
     if not (math.isfinite(a) and a > 0.0) or not (math.isfinite(b) and b > 0.0):
         raise DomainError(f"beta requires positive arguments, got ({a!r}, {b!r})")
+    if a == 1.0 or b == 1.0:
+        return 1.0 / (a * b)
     return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
 
 
@@ -150,15 +153,23 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
     lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
     xs = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _NODES
     ys = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    nan_rows = np.isnan(ys).any(axis=1)
-    if nan_rows.any():
-        i = int(np.argmax(nan_rows))
-        raise NumericFailure(f"integrand returned NaN on [{edges[i]}, {edges[i + 1]}]")
+    finite = np.isfinite(ys).all(axis=1)
+    if not finite.all():
+        nan_rows = np.isnan(ys).any(axis=1)
+        if nan_rows.any():
+            i = int(np.argmax(nan_rows))
+            raise NumericFailure(f"integrand returned NaN on [{edges[i]}, {edges[i + 1]}]")
     out = []
     # each interval's rule on its own 15 values: a matrix product over all
     # rows would round differently
-    for a, b, y in zip(edges[:-1], edges[1:], ys):
+    for a, b, y, ok in zip(edges[:-1], edges[1:], ys, finite):
         half = 0.5 * (b - a)
+        if not ok:
+            # an infinite value: the Kronrod sum is +-inf (NaN where both
+            # signs meet) and no finite error estimate holds
+            with np.errstate(invalid="ignore"):
+                out.append((half * float(_WK @ y), math.inf))
+            continue
         vk = half * float(_WK @ y)
         vg = half * float(_WGFULL @ y)
         # QUADPACK-style error heuristic keyed to the integrand's variation
@@ -189,8 +200,10 @@ def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
         neg_e, _, a, b, v = heappop(heap)
         live_err += neg_e  # removes the popped error
         m = 0.5 * (a + b)
-        if not (a < m < b):
-            segments.append((v, -neg_e))  # no representable midpoint left
+        if not (a < m < b) or neg_e == -math.inf:
+            # no representable midpoint left, or an infinite integrand value
+            # that no split can settle
+            segments.append((v, -neg_e))
             stuck_err += -neg_e
             continue
         (v1, e1), (v2, e2) = _gk15(f, (a, m, b))

@@ -1,9 +1,12 @@
 """Moment existence, closed-form raw moments, means and variances.
 
-Closed forms cover the three subfamilies (p = 0, p = inf, and b = 1).  Every
-other parameter combination takes verified adaptive quadrature of x^r times
-the density within a fixed budget; what that cannot finish is answered from
-the tail-free [0, 1] form of E[Y^r], Y = (X - x0)/c (`_standard_moment`).
+Closed forms cover the three subfamilies (p = 0, p = inf, and b = 1), all
+from one engine: E[X^r] is the binomial sum over the standardised moments
+E[Y^k], Y = (X - x0)/c (`_standard_moment`), the mean is its r = 1 case and
+the variance is c^2 (E[Y^2] - E[Y]^2).  Every other parameter combination
+takes verified adaptive quadrature of x^r times the density within a fixed
+budget; what that cannot finish is answered from the tail-free [0, 1] form
+of E[Y^r].
 
 Existence of the r-th moment:
 
@@ -111,16 +114,11 @@ def _x_space_moment(params: IFParams, r: int) -> MomentResult | None:
     absolute tolerance (a tiny c)."""
     d = IFDistribution(params)
 
-    def integrand(deltas):
+    def integrand(ds):
         # x^r * pdf(x) assembled in log space; x^r alone overflows near the
-        # top of the representable range while the product stays finite
-        ds = np.atleast_1d(np.asarray(deltas, dtype=float))
-        out = np.zeros(ds.shape)
-        pos = ds > 0
-        if pos.any():
-            lp = d.log_pdf_offset(ds[pos])
-            out[pos] = np.exp(r * np.log(params.x0 + ds[pos]) + lp)
-        return out
+        # top of the representable range while the product stays finite.
+        # integrate passes the open nodes of [0, inf): every offset is > 0
+        return np.exp(r * np.log(params.x0 + ds) + d.log_pdf_offset(ds))
 
     tol = 1e-9 * max(1.0, (params.x0 + params.c) ** r)
     res = integrate(integrand, 0.0, math.inf, tol=tol, limit=_LIMIT)
@@ -230,19 +228,22 @@ def _ln_gamma_error(x: float, dx: float) -> float:
     return 4.0 * _EPS * ((x + 1.0) * ln_x + 1.0) + (1.0 / x + ln_x + 1.0) * dx
 
 
-def _standard_moment(params: IFParams, k: int) -> tuple[float, float]:
-    """(E[Y^k], abs error) with Y = (X - x0)/c: closed forms and their rounding
-    bounds on the subfamilies, the [0, 1] form elsewhere; E[Y^0] = 1."""
+def _standard_moment(params: IFParams, k: int,
+                     weight: float = 1.0) -> tuple[float, float]:
+    """(weight E[Y^k], abs error) with Y = (X - x0)/c: closed forms and their
+    rounding bounds on the subfamilies, the [0, 1] form elsewhere; E[Y^0] = 1.
+    A beta sum rounds as (weight scale) sum coef B, as the means are written."""
     if k == 0:
-        return 1.0, 0.0
+        return weight, 0.0
     b, q, m = params.b, params.q, params.p + 1.0
     sub = classify(params)
     if sub is Subfamily.GENERAL:
-        return _unit_moment(params, k)
+        value, err = _unit_moment(params, k)
+        return weight * value, weight * err
     if sub is Subfamily.IF2:
         x, dx = 1.0 - k / (b * q), _EPS * (1.0 + 3.0 * abs(k / (b * q)))
         value = math.exp(ln_gamma(x))
-        return value, value * (_ln_gamma_error(x, dx) + 2.0 * _EPS)
+        return weight * value, weight * (value * (_ln_gamma_error(x, dx) + 2.0 * _EPS))
     # scale times a sum of coef B(x, y), with x and y off by up to dx, dy
     if sub is Subfamily.IF1:
         kb = abs(k / b)
@@ -256,11 +257,13 @@ def _standard_moment(params: IFParams, k: int) -> tuple[float, float]:
         terms = [(math.comb(k, j) * (-1.0) ** j, 1.0 - (k - j) / q, m,
                   _EPS * (1.0 + 2.0 * k / q), _EPS * m) for j in range(k + 1)]
     vals = [coef * beta(x, y) for coef, x, y, _, _ in terms]
-    value = scale * sum(vals)
+    value = weight * scale * sum(vals)
+    if not math.isfinite(value):  # weight scale alone may leave the doubles
+        value = weight * (scale * sum(vals))
     err = sum(abs(v) * (_ln_gamma_error(x, dx) + _ln_gamma_error(y, dy) + (k + 5) * _EPS
                         + _ln_gamma_error(x + y, dx + dy + _EPS * (x + y)))
               for v, (_, x, y, dx, dy) in zip(vals, terms))
-    return value, abs(scale) * err + abs(value) * d_scale
+    return value, weight * (abs(scale) * err) + abs(value) * d_scale
 
 
 def _binomial(params: IFParams, r: int) -> tuple[float, float]:
@@ -270,10 +273,9 @@ def _binomial(params: IFParams, r: int) -> tuple[float, float]:
     x0, c = params.x0, params.c
     total = err = 0.0
     for i in range(r + 1):
-        w = math.comb(r, i) * x0 ** i * c ** (r - i)
-        m, e = _standard_moment(params, r - i)
-        total += w * m
-        err += w * e + (r + 4) * _EPS * abs(w * m)
+        wm, we = _standard_moment(params, r - i, math.comb(r, i) * x0 ** i * c ** (r - i))
+        total += wm
+        err += we + (r + 4) * _EPS * abs(wm)
     return total, err
 
 
@@ -311,39 +313,17 @@ def raw_moment(params: IFParams, r) -> MomentResult:
     return _moment(params, r, lambda: _raw_moment(params, r))
 
 
-def _mean(params: IFParams) -> MomentResult:
-    b, c, q, x0, p = params.b, params.c, params.q, params.x0, params.p
-    sub = classify(params)
-    res = _raw_moment(params, 1)
-    # the IF1 and IF3 forms stay written out: their rounding differs in the
-    # last bits from x0 + c E[Y], whose bound they take, plus those roundings
-    if sub is Subfamily.IF1:
-        val = x0 + c * q * beta(q - 1.0 / b, 1.0 + 1.0 / b)
-    elif sub is Subfamily.IF3:
-        m = p + 1.0
-        val = x0 + c * m ** (1.0 - 1.0 / q) * (beta(1.0 - 1.0 / q, m) - 1.0 / m)
-    else:
-        return res
-    return MomentResult.closed_form(val, res.abs_error + 4.0 * _EPS * abs(val))
-
-
 def mean(params: IFParams) -> MomentResult:
-    """First moment through the single-term closed forms where available."""
-    return _moment(params, 1, lambda: _mean(params))
+    """First moment: the r = 1 raw moment, x0 + c E[Y] from the closed forms
+    on the subfamilies, quadrature elsewhere."""
+    return _moment(params, 1, lambda: _raw_moment(params, 1))
 
 
 def _variance(params: IFParams) -> MomentResult:
-    c, q, p = params.c, params.q, params.p
-    sub = classify(params)
-    if sub is not Subfamily.GENERAL:
+    c = params.c
+    if classify(params) is not Subfamily.GENERAL:
         (v1, e1), (v2, e2) = (_standard_moment(params, k) for k in (1, 2))
         val = v2 - v1 * v1
-        if sub is Subfamily.IF3:
-            # written out, like the IF3 mean, for its last-bit rounding
-            m = p + 1.0
-            b1 = beta(1.0 - 1.0 / q, m) - 1.0 / m
-            b2 = (beta(1.0 - 2.0 / q, m) - 2.0 * beta(1.0 - 1.0 / q, m) + 1.0 / m)
-            val = m ** (1.0 - 2.0 / q) * b2 - m ** (2.0 - 2.0 / q) * b1 * b1
         # the subtraction's rounding: its operands' bounds, and the square
         # and the difference rounded in doubles
         e2 += 2.0 * _EPS * (v1 * v1 + abs(val))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ifdist import DomainError, IFParams, UniformStream
+from ifdist import DomainError, IFParams, NumericFailure, UniformStream
 from ifdist.catalog import (
     CATALOG,
     TREE_EDGES,
@@ -217,6 +217,12 @@ class TestTable1Mean:
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             table1_mean("nope", c=1)
+
+    @pytest.mark.parametrize("name, args", [("weibull", {"x0": 0}), ("weibull_2p", {})])
+    def test_gamma_beyond_the_doubles_is_a_numeric_failure(self, name, args):
+        # the mean Gamma(1001) is finite but beyond the largest double
+        with pytest.raises(NumericFailure, match="overflowed"):
+            table1_mean(name, c=1, q=0.001, **args)
 
     @pytest.mark.parametrize("name", ["stoppa", "generalized_lomax"])
     def test_m_inf_is_the_gumbel_ii_mean(self, name):

@@ -15,7 +15,6 @@ from ifdist import (
     find_root,
     g_big,
     integrate,
-    new_distribution,
     p_exponential,
 )
 from ifdist.modes import boundary_behavior, mode_x_from_t
@@ -43,7 +42,7 @@ GRID = [
 
 class TestValidation:
     def test_valid(self):
-        d = new_distribution(FIG_BASE)
+        d = IFDistribution(FIG_BASE)
         assert d.params == FIG_BASE
 
     def test_b_zero(self):
@@ -67,7 +66,7 @@ class TestValidation:
     )
     def test_rejections_by_name(self, params, msg):
         with pytest.raises(DomainError, match=msg):
-            new_distribution(params)
+            IFDistribution(params)
 
     @pytest.mark.parametrize("bad", [True, False, "2", None, 1j])
     def test_non_real_values_rejected(self, bad):
@@ -165,23 +164,23 @@ class TestGBig:
 
 class TestPdf:
     def test_exponential(self):
-        d = new_distribution(EXPONENTIAL)
+        d = IFDistribution(EXPONENTIAL)
         assert d.pdf(0.0) == pytest.approx(1.0, rel=1e-14)
         assert d.pdf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_pareto_i_at_boundary(self):
         # alpha x0^alpha / x^(alpha+1) with alpha=2, x0=1 gives 2 at x=1
-        assert new_distribution(PARETO_I).pdf(1.0) == pytest.approx(2.0, rel=1e-14)
+        assert IFDistribution(PARETO_I).pdf(1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_fig_base_hand_evaluated(self):
-        d = new_distribution(FIG_BASE)
+        d = IFDistribution(FIG_BASE)
         # at x0, e_p((p+1)) = 0 for p > 0: density starts at zero
         assert d.pdf(0.0) == 0.0
         # symbolic evaluation at x=100 frozen from 40-digit arithmetic
         assert d.pdf(100.0) == pytest.approx(0.003734495538076993, rel=1e-12)
 
     def test_total_function(self):
-        d = new_distribution(PARETO_I)
+        d = IFDistribution(PARETO_I)
         assert d.pdf(0.5) == 0.0
         assert d.pdf(-3.0) == 0.0
         assert d.pdf(math.inf) == 0.0
@@ -198,10 +197,10 @@ class TestPdf:
 
 class TestLogPdf:
     def test_exponential_deep_tail(self):
-        assert new_distribution(EXPONENTIAL).log_pdf(50.0) == pytest.approx(-50.0, rel=1e-13)
+        assert IFDistribution(EXPONENTIAL).log_pdf(50.0) == pytest.approx(-50.0, rel=1e-13)
 
     def test_pareto_i(self):
-        assert new_distribution(PARETO_I).log_pdf(10.0) == pytest.approx(
+        assert IFDistribution(PARETO_I).log_pdf(10.0) == pytest.approx(
             math.log(2e-3), rel=1e-13)
 
     def test_weibull_hand_evaluated(self):
@@ -210,15 +209,15 @@ class TestLogPdf:
                                                rel=1e-13)
 
     def test_finite_where_pdf_underflows(self):
-        d = new_distribution(EXPONENTIAL)
+        d = IFDistribution(EXPONENTIAL)
         assert d.pdf(800.0) == 0.0
         assert d.log_pdf(800.0) == pytest.approx(-800.0, rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            new_distribution(PARETO_I).log_pdf(1.0)
+            IFDistribution(PARETO_I).log_pdf(1.0)
         with pytest.raises(DomainError):
-            new_distribution(PARETO_I).log_pdf(0.2)
+            IFDistribution(PARETO_I).log_pdf(0.2)
 
 
 class TestCdfSurvival:
@@ -228,23 +227,23 @@ class TestCdfSurvival:
 
     def test_zero_at_x0(self):
         for params in (EXPONENTIAL, PARETO_I, FIG_BASE):
-            d = new_distribution(params)
+            d = IFDistribution(params)
             assert d.cdf(params.x0) == 0.0
             assert d.survival(params.x0) == 1.0
 
     def test_pareto_i_values(self):
-        d = new_distribution(PARETO_I)
+        d = IFDistribution(PARETO_I)
         assert d.cdf(2.0) == pytest.approx(0.75, rel=1e-14)
         assert d.survival(100.0) == pytest.approx(1e-4, rel=1e-12)
 
     def test_survival_deep_tail_not_zero(self):
-        d = new_distribution(EXPONENTIAL)
+        d = IFDistribution(EXPONENTIAL)
         assert d.survival(700.0) == pytest.approx(math.exp(1) ** -700, rel=1e-12)
         assert d.survival(700.0) > 0.0
 
     def test_monotone(self):
         for params in GRID[::5]:
-            d = new_distribution(params)
+            d = IFDistribution(params)
             xs = params.x0 + params.c * np.geomspace(1e-6, 1e4, 80)
             F = d.cdf(xs)
             assert (np.diff(F) >= 0).all()
@@ -253,7 +252,7 @@ class TestCdfSurvival:
 
 class TestHazard:
     def test_exponential_constant(self):
-        d = new_distribution(EXPONENTIAL)
+        d = IFDistribution(EXPONENTIAL)
         assert d.hazard(np.array([0.1, 1.0, 10.0])) == pytest.approx([1.0, 1.0, 1.0],
                                                                      rel=1e-13)
 
@@ -262,13 +261,13 @@ class TestHazard:
         assert d.hazard(1.0) == pytest.approx(2.0, rel=1e-13)
 
     def test_pareto_i(self):
-        assert new_distribution(PARETO_I).hazard(2.0) == pytest.approx(1.0, rel=1e-13)
+        assert IFDistribution(PARETO_I).hazard(2.0) == pytest.approx(1.0, rel=1e-13)
 
     def test_matches_ratio(self):
         # body points: deep-tail offsets can underflow both pdf and survival,
         # where the ratio oracle itself degenerates to 0/0
         for params in GRID[::3]:
-            d = new_distribution(params)
+            d = IFDistribution(params)
             xs = d.quantile(np.array([0.05, 0.35, 0.7, 0.97]))
             got = d.hazard(xs)
             want = d.pdf(xs) / d.survival(xs)
@@ -276,7 +275,7 @@ class TestHazard:
 
     def test_hazard_times_survival_is_pdf(self):
         for params in GRID[::3]:
-            d = new_distribution(params)
+            d = IFDistribution(params)
             xs = d.quantile(np.array([0.1, 0.5, 0.9]))
             assert d.hazard(xs) * d.survival(xs) == pytest.approx(list(d.pdf(xs)),
                                                                   rel=1e-10)
@@ -311,16 +310,16 @@ class TestHazard:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            new_distribution(EXPONENTIAL).hazard(0.0)
+            IFDistribution(EXPONENTIAL).hazard(0.0)
 
 
 class TestQuantile:
     def test_pareto_i(self):
-        assert new_distribution(PARETO_I).quantile(0.75) == pytest.approx(2.0, rel=1e-14)
+        assert IFDistribution(PARETO_I).quantile(0.75) == pytest.approx(2.0, rel=1e-14)
 
     def test_endpoints(self):
         for params in (PARETO_I, EXPONENTIAL, FIG_BASE):
-            d = new_distribution(params)
+            d = IFDistribution(params)
             assert d.quantile(0.0) == params.x0
             assert d.quantile(1.0) == math.inf
 
@@ -331,11 +330,11 @@ class TestQuantile:
     def test_strictly_increasing(self):
         ys = np.linspace(1e-9, 1 - 1e-9, 200)
         for params in GRID[::7]:
-            xs = new_distribution(params).quantile(ys)
+            xs = IFDistribution(params).quantile(ys)
             assert (np.diff(xs) > 0).all()
 
     def test_domain(self):
-        d = new_distribution(PARETO_I)
+        d = IFDistribution(PARETO_I)
         for bad in (-0.1, 1.1, math.nan):
             with pytest.raises(DomainError):
                 d.quantile(bad)
@@ -355,7 +354,7 @@ class TestMedian:
         assert dist(0.0, 1.0, 1.0, 1.0, 0.0).median() == pytest.approx(1.0, rel=1e-14)
 
     def test_exponential(self):
-        d = new_distribution(EXPONENTIAL)
+        d = IFDistribution(EXPONENTIAL)
         assert d.median() == pytest.approx(math.log(2.0), rel=1e-14)
 
     def test_if3_against_bisection_oracle(self):
@@ -367,21 +366,21 @@ class TestMedian:
 
     def test_equals_quantile_half(self):
         for params in GRID[::4]:
-            d = new_distribution(params)
+            d = IFDistribution(params)
             assert d.median() == pytest.approx(d.quantile(0.5), rel=1e-14)
 
 
 class TestSample:
     def test_empty(self):
-        assert new_distribution(EXPONENTIAL).sample(0, 1).shape == (0,)
+        assert IFDistribution(EXPONENTIAL).sample(0, 1).shape == (0,)
 
     def test_deterministic(self):
-        d = new_distribution(FIG_BASE)
+        d = IFDistribution(FIG_BASE)
         assert np.array_equal(d.sample(500, 77), d.sample(500, 77))
         assert not np.array_equal(d.sample(500, 77), d.sample(500, 78))
 
     def test_above_x0_and_finite(self):
-        d = new_distribution(PARETO_I)
+        d = IFDistribution(PARETO_I)
         xs = d.sample(10_000, 3)
         assert (xs > 1.0).all() and np.isfinite(xs).all()
 
@@ -394,7 +393,7 @@ class TestSample:
         assert xs.min() == np.nextafter(1.0, math.inf)
 
     def test_exponential_mean_clt(self):
-        xs = new_distribution(EXPONENTIAL).sample(1_000_000, 42)
+        xs = IFDistribution(EXPONENTIAL).sample(1_000_000, 42)
         assert abs(xs.mean() - 1.0) < 0.004
 
 
@@ -412,7 +411,7 @@ class TestSplitFactorOverflow:
 
     @pytest.mark.parametrize("params, want", CASES)
     def test_median_and_quantile(self, params, want):
-        d = new_distribution(params)
+        d = IFDistribution(params)
         assert d.median() == pytest.approx(want, rel=1e-10)
         assert d.quantile(0.5) == pytest.approx(want, rel=1e-10)
         assert d.quantile(np.array([0.5]))[0] == pytest.approx(want, rel=1e-10)
@@ -425,7 +424,7 @@ class TestSplitFactorOverflow:
 
     @pytest.mark.parametrize("params, want", CASES)
     def test_sample_has_no_nan(self, params, want):
-        xs = new_distribution(params).sample(1000, 5)
+        xs = IFDistribution(params).sample(1000, 5)
         assert not np.isnan(xs).any() and (xs > params.x0).all()
 
 
@@ -484,7 +483,7 @@ class TestFarRange:
 
     @pytest.mark.parametrize("params, delta, want", CASES)
     def test_x_forms(self, params, delta, want):
-        d = new_distribution(params)
+        d = IFDistribution(params)
         x = params.x0 + delta
         for name, value in want.items():
             fn = getattr(d, name)
@@ -495,7 +494,7 @@ class TestFarRange:
     def test_offset_forms(self, params, delta, want):
         # x0 = 3 cannot hold the tiny offsets, so only the offset forms see them
         pa = IFParams(params.p, params.b, params.c, params.q, 3.0)
-        d = new_distribution(pa)
+        d = IFDistribution(pa)
         offset = {"pdf": d.pdf_offset, "log_pdf": d.log_pdf_offset,
                   "cdf": d.cdf_offset, "sf": d.sf_offset}
         for name, value in want.items():
@@ -509,7 +508,7 @@ class TestFarRange:
             assert float(ref[name]) == pytest.approx(value, rel=1e-15), name
 
     def test_cdf_of_quantile(self):
-        d = new_distribution(IFParams(0.0, 0.01, 1e-3, 0.05, 0.0))
+        d = IFDistribution(IFParams(0.0, 0.01, 1e-3, 0.05, 0.0))
         assert d.quantile(0.3) > 1e306
         assert d.cdf(d.quantile(0.3)) == pytest.approx(0.3, rel=1e-12)
 
@@ -518,7 +517,7 @@ class TestFarRange:
         "the far right tail, so ln(1 - w) is lost; the ln t form of ROADMAP "
         "item 1 fixes it"))
     def test_b_negative_far_right_tail(self):
-        d = new_distribution(IFParams(0.5, -1.5, 1e-3, 2.0, 0.0))
+        d = IFDistribution(IFParams(0.5, -1.5, 1e-3, 2.0, 0.0))
         assert d.hazard(1e306) == pytest.approx(2.25e-306, rel=1e-12)
 
 
@@ -534,7 +533,7 @@ class TestExtremeParameters:
 
     @pytest.mark.parametrize("params, delta, want", COEF_CASES)
     def test_density_coefficient_beyond_the_doubles(self, params, delta, want):
-        d = new_distribution(params)
+        d = IFDistribution(params)
         assert d.log_pdf_offset(delta) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("params, delta, want", COEF_CASES)
@@ -546,7 +545,7 @@ class TestExtremeParameters:
                              + GRID[::3])
     def test_cdf_and_sf_limits_at_inf(self, params):
         # at b < 0 and finite p the finite-x form can round to NaN there
-        d = new_distribution(params)
+        d = IFDistribution(params)
         assert d.cdf(INF) == 1.0 and d.survival(INF) == 0.0
         assert d.cdf_offset(INF) == 1.0 and d.sf_offset(INF) == 0.0
         assert list(d.cdf(np.array([params.x0, INF]))) == [0.0, 1.0]
@@ -557,7 +556,7 @@ class TestExtremeParameters:
         # 1.1814940272845318e-18
         pa = IFParams(0.004263593054679348, 1.0, 0.41753005533152676,
                       4.168562581055472, 0.0)
-        d = new_distribution(pa)
+        d = IFDistribution(pa)
         want = 1.1814940272845318e-18
         assert d.quantile_offset(1e-17) == pytest.approx(want, rel=1e-12, abs=0)
         assert d.quantile(np.array([1e-17]))[0] == pytest.approx(want, rel=1e-12,
@@ -576,7 +575,7 @@ class TestExtremeParameters:
 class TestDistributionInvariants:
     @pytest.mark.parametrize("params", GRID[::6])
     def test_normalization(self, params):
-        d = new_distribution(params)
+        d = IFDistribution(params)
         r = integrate(d.pdf_offset, 0.0, math.inf, 1e-8)
         assert r.converged
         assert r.value == pytest.approx(1.0, abs=1e-6)
@@ -585,7 +584,7 @@ class TestDistributionInvariants:
         levels = np.array([1e-6, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5,
                            0.75, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6])
         for params in GRID:
-            d = new_distribution(params)
+            d = IFDistribution(params)
             again = d.cdf_offset(d.quantile_offset(levels))
             assert np.max(np.abs(again - levels)) <= 1e-9
 
@@ -597,7 +596,7 @@ class TestDistributionInvariants:
 
     @pytest.mark.parametrize("params", GRID[::8])
     def test_cdf_is_integral_of_pdf(self, params):
-        d = new_distribution(params)
+        d = IFDistribution(params)
         pts = d.quantile_offset(np.linspace(0.08, 0.92, 8))
         acc = 0.0
         prev = 0.0
@@ -633,7 +632,7 @@ class TestDistributionInvariants:
         assert gap10 < gap6 / 50.0
 
 
-_CONTRACT = new_distribution(IFParams(1.0, 1.5, 2.0, 2.0, 0.5))
+_CONTRACT = IFDistribution(IFParams(1.0, 1.5, 2.0, 2.0, 0.5))
 
 
 @pytest.mark.parametrize(

@@ -75,10 +75,11 @@ class TestBeta:
     def test_symmetry(self, a, b):
         assert beta(a, b) == pytest.approx(beta(b, a), rel=1e-12)
 
-    @given(a=st.floats(0.01, 80.0))
+    @given(a=st.floats(0.01, 80.0) | st.floats(1e-300, 1e300))
     @settings(max_examples=60, deadline=None)
     def test_beta_a_one(self, a):
-        assert beta(a, 1.0) == pytest.approx(1.0 / a, rel=1e-12)
+        # exact: the 1/m term of the IF3 moments
+        assert beta(a, 1.0) == 1.0 / a == beta(1.0, a)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -129,6 +130,21 @@ class TestIntegrate:
             warnings.simplefilter("error")
             r = integrate(lambda x: np.full(np.shape(x), 1e300), 0.0, math.inf, 1e-8)
         assert not r.converged and r.value == math.inf and r.evaluations == 1
+
+    # the seed mesh's 14 intervals on [0, 1], and the tail probe and 16
+    # intervals on [0, inf)
+    @pytest.mark.parametrize("hi, evals", [(1.0, 15 * 14), (math.inf, 1 + 15 * 16)])
+    def test_infinite_values_are_unconverged(self, hi, evals):
+        # inf on the first interval of the seed mesh: an infinite error
+        # estimate, no warning, and no split of what cannot converge
+        def f(x):
+            return np.where(x < 1e-9, np.inf, np.exp(-x))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = integrate(f, 0.0, hi, 1e-8)
+        assert not r.converged and r.abs_error_estimate == math.inf
+        assert r.value == math.inf and r.evaluations == evals
 
     def test_bad_bounds(self):
         with pytest.raises(DomainError):

@@ -159,21 +159,105 @@ class TestOneExit:
         assert mean(IFParams(INF, -1.0, 1.0, 0.01, 0.0)).value == pytest.approx(
             math.factorial(100), rel=1e-12)
         assert variance(IFParams(0.0, 2.0, 1e100, 3.0, 0.0)).exists
+        # c^2 m^(1 - 2/q) alone leaves the doubles, c^2 E[Y^2] does not;
+        # 80-digit mpmath gives 5.16280345672e299
+        res = raw_moment(IFParams(1e10, 1.0, 1e150, 20.0, 0.0), 2)
+        assert abs(res.value - 5.16280345672e299) <= res.abs_error
 
     def test_non_existence_comes_first(self):
         # the existence test answers before any value is formed
         res = variance(IFParams(0.0, 2.0, 1e200, 0.9, 0.0))
         assert not res.exists and res.constraint == "requires r < bq"
 
-    def test_if2_mean_is_the_binomial_first_moment(self):
+    def test_mean_is_the_binomial_first_moment(self):
+        # IF1 with either sign of b, IF2 with either sign, IF3
         u = UniformStream(21)
         for _ in range(200):
             b = (0.3 + 4.0 * next(u)) * (1.0 if next(u) < 0.5 else -1.0)
             q = 0.2 + 5.0 * next(u)
-            pa = IFParams(INF, b, 0.1 + 3.0 * next(u), q, 2.0 * next(u))
-            m = mean(pa)
-            if m.exists:
-                assert m.value == raw_moment(pa, 1).value, pa
+            c, x0, p = 0.1 + 3.0 * next(u), 2.0 * next(u), 10.0 ** (4.0 * next(u) - 2.0)
+            for pa in (IFParams(0.0, b, c, q, x0), IFParams(INF, b, c, q, x0),
+                       IFParams(p, 1.0, c, q, x0)):
+                m = mean(pa)
+                if m.exists:
+                    assert m == raw_moment(pa, 1), pa
+
+
+def _written_out_mean(pa: IFParams) -> float:
+    """The single-beta means of the Burr/Dagum (p = 0) and Stoppa (b = 1)
+    rows, as Kleiber & Kotz (2003) print them."""
+    b, c, q, x0 = pa.b, pa.c, pa.q, pa.x0
+    if pa.p == 0.0:
+        return x0 + c * q * beta(q - 1.0 / b, 1.0 + 1.0 / b)
+    m = pa.p + 1.0
+    return x0 + c * m ** (1.0 - 1.0 / q) * (beta(1.0 - 1.0 / q, m) - 1.0 / m)
+
+
+# (p, b, c, q, x0, variance, E[X^2]) from 60-digit mpmath over the closed
+# forms q B(q - k/b, 1 + k/b) and m^(1-k/q) sum_j C(k,j) (-1)^j B(1-(k-j)/q, m)
+CLOSED_SECOND_MOMENTS = [
+    (9193.263317767038, 1.0, 0.03313841185748303, 17.76548131030448, 0.0,
+     6.7137904430766323e-6, 0.00021693529575820479),
+    (5603.221917669122, 1.0, 17.42395844566074, 3.6069216399823123, 0.0,
+     118.95825819598198, 536.03506114042772),
+    (0.015461632562287735, 1.0, 0.30352705673776437, 3.60794369287894,
+     0.01560125139317346, 0.030463440768146591, 0.048087889955505552),
+    (0.2032040228124991, 1.0, 2.9952770450441797, 2.1904707787053694,
+     2.724447916154837, 73.107316504655213, 102.05257181233656),
+    (1e6, 1.0, 1.0, 3.0, 0.5, 0.84530303101677247, 4.2460745727475555),
+    (3e7, 1.0, 2.0, 5.0, 0.0, 0.53504568487887959, 5.6632052115391368),
+    (0.0, 2.657140536928577, 4.54958990331968, 7.137646404268004, 0.0,
+     0.76641529271165806, 4.7839768608119727),
+    (0.0, 12.08308280263954, 0.3235033777493215, 0.2753405475808938,
+     0.025315846331990747, 0.051156219385958968, 0.27947525231617305),
+    (0.0, -10.35879247566355, 0.013540970416550016, 0.43831426170220883,
+     0.012361417471486363, 8.6098939629150043e-6, 0.00059502441359612173),
+    (0.0, -2.9710981149385276, 14.801870286248509, 0.4723287369104683,
+     6.269030146950143, 145.02524178973573, 493.28317800741631),
+]
+
+
+class TestOneMomentEngine:
+    """mean is the r = 1 raw moment on every path: its IF1/IF3 terms round
+    as (c scale) sum coef B with B(1, m) = 1/m, which is the rounding of the
+    written-out single-beta means."""
+
+    def test_mean_is_the_written_out_form_bit_for_bit(self):
+        u = UniformStream(17)
+        checked = 0
+        for _ in range(400):
+            b = 10.0 ** (2.3 * next(u) - 1.0) * (1.0 if next(u) < 0.5 else -1.0)
+            q = 10.0 ** (2.0 * next(u) - 0.7)
+            c, x0 = 10.0 ** (4.0 * next(u) - 2.0), 10.0 ** (4.0 * next(u) - 2.0)
+            p = 10.0 ** (6.0 * next(u) - 2.0)
+            for pa in (IFParams(0.0, b, c, q, x0), IFParams(p, 1.0, c, q, x0)):
+                try:
+                    m = mean(pa)
+                except NumericFailure:
+                    continue
+                if m.exists:
+                    assert m.value == _written_out_mean(pa), pa
+                    checked += 1
+        assert checked > 400
+
+    @pytest.mark.parametrize("p, b, c, q, x0, var, m2", CLOSED_SECOND_MOMENTS)
+    def test_second_moments_match_mpmath(self, p, b, c, q, x0, var, m2):
+        pa = IFParams(p, b, c, q, x0)
+        for res, want in ((variance(pa), var), (raw_moment(pa, 2), m2)):
+            assert res.provenance == CLOSED_FORM
+            assert abs(res.value - want) <= res.abs_error < 1e-4 * want
+
+    def test_infinite_node_answers_the_parent_result(self):
+        # x^r pdf overflows at a node next to x0 (log_pdf_offset is 709.3
+        # there): the x-space quadrature stops unconverged without a warning
+        # and the [0, 1] form answers
+        pa = IFParams(0.028890671008554407, 0.04715556254465179,
+                      7.016533169591586e18, 379.80210689405845, 2.76619020069903e165)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = mean(pa)
+        assert res == MomentResult(value=2.76619020069903e+165, provenance=UNIT_INTERVAL,
+                                   abs_error=3.0710880513085458e+150)
 
 
 class TestClosedFormVarianceError:
