@@ -244,8 +244,9 @@ def _cmd_sample(ns) -> int:
 def _cmd_curve(ns) -> int:
     base = _build_params(ns, _CURVE_BASE)
     rng = _parse_floats(ns.x_range)
-    if len(rng) != 3 or not rng[2].is_integer() or rng[2] < 2 or rng[0] >= rng[1]:
-        raise _UsageError("--x-range expects LO,HI,N with LO < HI and N >= 2")
+    if (len(rng) != 3 or not rng[2].is_integer() or rng[2] < 2
+            or not -math.inf < rng[0] < rng[1] < math.inf):
+        raise _UsageError("--x-range expects LO,HI,N with finite LO < HI and N >= 2")
     if ns.vary != "x0" and rng[0] < base.x0:
         raise _UsageError(f"--x-range must start at or above x0 = {base.x0}")
     xs = np.linspace(rng[0], rng[1], int(rng[2]))
@@ -266,6 +267,8 @@ def _cmd_modegrid(ns) -> int:
         name, *bounds = text.split(",")
         try:
             lo, hi = map(float, bounds)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError
         except ValueError:
             raise _UsageError("--axis expects NAME,LO,HI")
         return name.strip(), lo, hi
@@ -395,7 +398,7 @@ _SUITES = {
 def _cmd_check(ns) -> int:
     fn, default_tol = _SUITES[ns.suite]
     tol = ns.tol if ns.tol is not None else default_tol
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise _UsageError("--tol must be positive")
     t0 = time.time()
     worst, where = 0.0, ""

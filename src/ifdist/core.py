@@ -83,6 +83,16 @@ def _power_offset(c: float, ln_scale: float, z, expo: float,
     return float(out) if scalar else out
 
 
+def _ln1m_exp_near(ln_w):
+    """ln(1 - e^ln_w) for -ln 2 < ln_w <= 0, a float or an array."""
+    return np.log(-np.expm1(ln_w))
+
+
+def _ln1m_exp_far(ln_w):
+    """ln(1 - e^ln_w) for ln_w <= -ln 2, a float or an array."""
+    return np.log1p(-np.exp(ln_w))
+
+
 def _all_inside(v: np.ndarray, hi: float) -> bool:
     """Whether every element lies in the open interval (0, hi)."""
     return bool(((v > 0.0) & (v < hi)).all())
@@ -262,18 +272,23 @@ class IFDistribution:
 
     # Each caller holds np.errstate(all="ignore") around these: ds/c may
     # overflow, and y^(-bq) -> inf, ln(1 - w) = -inf mean density 0.
+    # Each takes a float or an array: a float stays a float, with numpy's
+    # ufuncs for the transcendental functions, so both give the same bits.
 
-    def _ln_y(self, ds: np.ndarray) -> np.ndarray:
+    def _ln_y(self, ds):
         """ln y, y = ds/c, at offsets ds > 0 (inf allowed); ln ds - ln c
         where ds/c leaves the normal doubles while ds is finite."""
         y = ds / self.c
+        if isinstance(ds, float):
+            far = (y < _TINY or y == math.inf) and ds < math.inf
+            return np.log(ds) - math.log(self.c) if far else np.log(y)
         ln_y = np.log(y)
         if y.size and not (y.min() >= _TINY and y.max() < math.inf):
             far = ((y < _TINY) | (y == math.inf)) & (ds < math.inf)
             ln_y[far] = np.log(ds[far]) - math.log(self.c)
         return ln_y
 
-    def _terms(self, ds: np.ndarray, with_1mw: bool = True):
+    def _terms(self, ds, with_1mw: bool = True):
         """(ln y, g, ln(1 - w)) at offsets ds > 0: g is ln G at finite p and
         y^(-bq) at p = inf; ln(1 - w), w = G^(-q)/(p+1), is formed at
         finite p when with_1mw (else None), stable on both ends."""
@@ -284,11 +299,13 @@ class IFDistribution:
         if not with_1mw:
             return ln_y, ln_g, None
         ln_w = -self.q * ln_g - math.log1p(self.p)
-        big = np.log(-np.expm1(ln_w))
-        small = np.log1p(-np.exp(ln_w))
-        return ln_y, ln_g, np.where(ln_w > -_LN2, big, small)
+        if isinstance(ln_w, np.ndarray):
+            return ln_y, ln_g, np.where(ln_w > -_LN2, _ln1m_exp_near(ln_w),
+                                        _ln1m_exp_far(ln_w))
+        return ln_y, ln_g, (_ln1m_exp_near(ln_w) if ln_w > -_LN2
+                            else _ln1m_exp_far(ln_w))
 
-    def _ln_density(self, ln_y, g, ln_1mw) -> np.ndarray:
+    def _ln_density(self, ln_y, g, ln_1mw):
         """ln pdf from the terms; e_p is left out without ln(1 - w)."""
         if self._inf_p:
             return self._ln_coef + (-self.b * self.q - 1.0) * ln_y - g
@@ -297,24 +314,35 @@ class IFDistribution:
             out += self.p * ln_1mw
         return out
 
-    def _ln_sf_plus(self, g, ln_1mw) -> np.ndarray:
+    def _ln_sf_plus(self, g, ln_1mw):
         """(p+1) ln(1 - w): ln cdf for b > 0, ln survival for b < 0."""
         return -g if self._inf_p else (self.p + 1.0) * ln_1mw
 
-    def _log_pdf(self, ds: np.ndarray, message: str) -> np.ndarray:
-        if not (ds > 0).all():
+    def _offset(self, x):
+        """x - x0: a float stays a float; anything else goes through a
+        float array (a 0-d one gives an np.float64, also a float)."""
+        return (x if isinstance(x, float) else np.asarray(x, dtype=float)) - self.x0
+
+    def _log_pdf(self, delta, message: str):
+        scalar = isinstance(delta, float)
+        ds, unwrap = (delta, float) if scalar else _coerce(delta)
+        if not (ds > 0 if scalar else (ds > 0).all()):
             raise DomainError(message)
         with np.errstate(all="ignore"):
             out = self._ln_density(*self._terms(ds, self.p > 0))
-        out[np.isinf(ds)] = -math.inf  # inf - inf above; the density is 0
-        return out
+        # inf - inf above; the density is 0
+        if scalar:
+            out = -math.inf if ds == math.inf else out
+        else:
+            out[np.isinf(ds)] = -math.inf
+        return unwrap(out)
 
     # -- distribution surface --------------------------------------------------
 
     def pdf(self, x):
         """Density, total on the reals: 0 below x0, the boundary limit at
         x0 (possibly +inf), strictly positive on (x0, inf)."""
-        return self.pdf_offset(np.asarray(x, dtype=float) - self.x0)
+        return self.pdf_offset(self._offset(x))
 
     def pdf_offset(self, delta):
         """pdf(x0 + delta) computed straight from the offset.
@@ -323,10 +351,15 @@ class IFDistribution:
         magnitude below x0; the workhorse for quadrature up against the
         support boundary.
         """
-        ds, unwrap = _coerce(delta)
+        scalar = isinstance(delta, float)
+        ds, unwrap = (delta, float) if scalar else _coerce(delta)
         with np.errstate(all="ignore"):
             out = np.exp(self._ln_density(*self._terms(ds, self.p > 0)))
-        if not _all_inside(ds, math.inf):
+        if scalar:
+            if not 0.0 < ds < math.inf:
+                out = (math.nan if math.isnan(ds) else
+                       self._boundary if ds == 0.0 else 0.0)
+        elif not _all_inside(ds, math.inf):
             out[(ds < 0.0) | (ds == math.inf)] = 0.0
             out[ds == 0.0] = self._boundary
             out[np.isnan(ds)] = np.nan
@@ -334,23 +367,29 @@ class IFDistribution:
 
     def log_pdf(self, x):
         """ln pdf on the open support x > x0; stays finite where pdf underflows."""
-        xs, unwrap = _coerce(x)
-        return unwrap(self._log_pdf(xs - self.x0, "log_pdf requires x > x0"))
+        return self._log_pdf(self._offset(x), "log_pdf requires x > x0")
 
     def log_pdf_offset(self, delta):
         """log_pdf(x0 + delta) straight from the offset; requires delta > 0."""
-        ds, unwrap = _coerce(delta)
-        return unwrap(self._log_pdf(ds, "log_pdf_offset requires delta > 0"))
+        return self._log_pdf(delta, "log_pdf_offset requires delta > 0")
 
     def _tail_offset(self, delta, lower: bool):
         """cdf (lower) or survival at the offsets delta, each from its own
         branch."""
-        ds, unwrap = _coerce(delta)
+        scalar = isinstance(delta, float)
+        ds, unwrap = (delta, float) if scalar else _coerce(delta)
         with np.errstate(all="ignore"):
             _, g, ln_1mw = self._terms(ds)
             ln_plus = self._ln_sf_plus(g, ln_1mw)
             out = np.exp(ln_plus) if (self.b > 0) == lower else -np.expm1(ln_plus)
-        if not _all_inside(ds, math.inf):
+        if scalar:
+            if ds <= 0.0:
+                out = 0.0 if lower else 1.0
+            elif ds == math.inf:
+                out = 1.0 if lower else 0.0
+            elif math.isnan(ds):
+                out = math.nan
+        elif not _all_inside(ds, math.inf):
             # the limits; at b < 0 the form above can round to NaN at inf,
             # and -expm1 gives a NaN offset a sign bit
             out[ds <= 0.0] = 0.0 if lower else 1.0
@@ -360,7 +399,7 @@ class IFDistribution:
 
     def cdf(self, x):
         """Distribution function; 0 at and below x0, 1 in the limit."""
-        return self.cdf_offset(np.asarray(x, dtype=float) - self.x0)
+        return self.cdf_offset(self._offset(x))
 
     def cdf_offset(self, delta):
         """cdf(x0 + delta) straight from the offset (no x0 cancellation)."""
@@ -369,7 +408,7 @@ class IFDistribution:
     def survival(self, x):
         """1 - cdf computed from the complementary branch directly, so deep
         tail values keep relative accuracy (no 1.0 - ... subtraction)."""
-        return self.sf_offset(np.asarray(x, dtype=float) - self.x0)
+        return self.sf_offset(self._offset(x))
 
     def sf_offset(self, delta):
         """survival(x0 + delta) straight from the offset."""

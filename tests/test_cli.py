@@ -314,7 +314,8 @@ class TestModeGrid:
                            "--axis1", "zz,1,2", "--axis2", "q,1,2")
         assert code == 1
 
-    @pytest.mark.parametrize("axis", ["b,abc,3", "b,1,", "b,1", "b,1,2,3"])
+    @pytest.mark.parametrize("axis", ["b,abc,3", "b,1,", "b,1", "b,1,2,3",
+                                      "p,0,inf", "b,nan,2", "b,-inf,2"])
     def test_bad_axis_numbers(self, capsys, axis):
         code, out, err = run(capsys, "--p", "0", "--b", "2", "--c", "1",
                              "--q", "1", "--x0", "0", "modegrid",
@@ -389,6 +390,13 @@ class TestExitCodes:
          "--steps expects N1,N2 with integers >= 1"),
         ("catalog show", "catalog show requires a name"),
         ("check --suite roundtrip --tol 0", "--tol must be positive"),
+        ("check --suite roundtrip --tol nan", "--tol must be positive"),
+        ("curve --vary p --values 0,1 --x-range nan,1,5",
+         "--x-range expects LO,HI,N with finite LO < HI and N >= 2"),
+        ("curve --vary p --values 0,1 --x-range 0,inf,3",
+         "--x-range expects LO,HI,N with finite LO < HI and N >= 2"),
+        ("curve --vary p --values 0,1 --x-range 0,nan,3",
+         "--x-range expects LO,HI,N with finite LO < HI and N >= 2"),
     ])
     def test_usage_errors_exit_1(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, *argv.format(tmp=tmp_path).split())
