@@ -17,7 +17,6 @@ from ifdist import (
     IFParams,
     UniformStream,
     beta,
-    chunk_seed,
     find_root,
     integrate,
     ln_gamma,
@@ -51,5 +50,3 @@ s = UniformStream(123)
 print(f"  first draws: {[round(next(s), 6) for _ in range(4)]}")
 print(f"  bulk draws continue the same sequence: "
       f"{np.round(s.draws(2), 6).tolist()}")
-print(f"  per-chunk seeds for parallel work: "
-      f"{[chunk_seed(123, i) for i in range(3)]}")

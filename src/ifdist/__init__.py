@@ -14,7 +14,6 @@ from .kernels import (
     QuadratureResult,
     UniformStream,
     beta,
-    chunk_seed,
     find_root,
     integrate,
     ln_gamma,
@@ -49,7 +48,6 @@ __all__ = [
     "QuadratureResult",
     "UniformStream",
     "beta",
-    "chunk_seed",
     "find_root",
     "integrate",
     "ln_gamma",

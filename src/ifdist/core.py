@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_TINY = np.finfo(float).tiny  # smallest normal double
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 def _is_real(v) -> bool:
@@ -272,18 +272,25 @@ class IFDistribution:
 
     # Each caller holds np.errstate(all="ignore") around these: ds/c may
     # overflow, and y^(-bq) -> inf, ln(1 - w) = -inf mean density 0.
-    # Each takes a float or an array: a float stays a float, with numpy's
-    # ufuncs for the transcendental functions, so both give the same bits.
+    # Each takes an array or a float that `_float_path` admits: a float
+    # stays a float, with numpy's ufuncs for the transcendental functions,
+    # so both give the same bits.
+
+    def _float_path(self, delta) -> bool:
+        """Whether delta stays a float: a float whose y = delta/c is a
+        normal double (in Python floats, which overflow to inf without an
+        np.float64 warning).  Every other offset takes the array path,
+        which holds every edge rule."""
+        return isinstance(delta, float) and _TINY <= float(delta) / self.c < math.inf
 
     def _ln_y(self, ds):
         """ln y, y = ds/c, at offsets ds > 0 (inf allowed); ln ds - ln c
-        where ds/c leaves the normal doubles while ds is finite."""
+        where ds/c leaves the normal doubles while ds is finite, which a
+        float offset never does."""
         y = ds / self.c
-        if isinstance(ds, float):
-            far = (y < _TINY or y == math.inf) and ds < math.inf
-            return np.log(ds) - math.log(self.c) if far else np.log(y)
         ln_y = np.log(y)
-        if y.size and not (y.min() >= _TINY and y.max() < math.inf):
+        if (isinstance(ds, np.ndarray) and y.size
+                and not (y.min() >= _TINY and y.max() < math.inf)):
             far = ((y < _TINY) | (y == math.inf)) & (ds < math.inf)
             ln_y[far] = np.log(ds[far]) - math.log(self.c)
         return ln_y
@@ -324,17 +331,14 @@ class IFDistribution:
         return (x if isinstance(x, float) else np.asarray(x, dtype=float)) - self.x0
 
     def _log_pdf(self, delta, message: str):
-        scalar = isinstance(delta, float)
-        ds, unwrap = (delta, float) if scalar else _coerce(delta)
-        if not (ds > 0 if scalar else (ds > 0).all()):
+        fast = self._float_path(delta)
+        ds, unwrap = (delta, float) if fast else _coerce(delta)
+        if not (fast or (ds > 0).all()):
             raise DomainError(message)
         with np.errstate(all="ignore"):
             out = self._ln_density(*self._terms(ds, self.p > 0))
-        # inf - inf above; the density is 0
-        if scalar:
-            out = -math.inf if ds == math.inf else out
-        else:
-            out[np.isinf(ds)] = -math.inf
+        if not fast:
+            out[np.isinf(ds)] = -math.inf  # inf - inf above; the density is 0
         return unwrap(out)
 
     # -- distribution surface --------------------------------------------------
@@ -351,15 +355,11 @@ class IFDistribution:
         magnitude below x0; the workhorse for quadrature up against the
         support boundary.
         """
-        scalar = isinstance(delta, float)
-        ds, unwrap = (delta, float) if scalar else _coerce(delta)
+        fast = self._float_path(delta)
+        ds, unwrap = (delta, float) if fast else _coerce(delta)
         with np.errstate(all="ignore"):
             out = np.exp(self._ln_density(*self._terms(ds, self.p > 0)))
-        if scalar:
-            if not 0.0 < ds < math.inf:
-                out = (math.nan if math.isnan(ds) else
-                       self._boundary if ds == 0.0 else 0.0)
-        elif not _all_inside(ds, math.inf):
+        if not (fast or _all_inside(ds, math.inf)):
             out[(ds < 0.0) | (ds == math.inf)] = 0.0
             out[ds == 0.0] = self._boundary
             out[np.isnan(ds)] = np.nan
@@ -376,20 +376,13 @@ class IFDistribution:
     def _tail_offset(self, delta, lower: bool):
         """cdf (lower) or survival at the offsets delta, each from its own
         branch."""
-        scalar = isinstance(delta, float)
-        ds, unwrap = (delta, float) if scalar else _coerce(delta)
+        fast = self._float_path(delta)
+        ds, unwrap = (delta, float) if fast else _coerce(delta)
         with np.errstate(all="ignore"):
             _, g, ln_1mw = self._terms(ds)
             ln_plus = self._ln_sf_plus(g, ln_1mw)
             out = np.exp(ln_plus) if (self.b > 0) == lower else -np.expm1(ln_plus)
-        if scalar:
-            if ds <= 0.0:
-                out = 0.0 if lower else 1.0
-            elif ds == math.inf:
-                out = 1.0 if lower else 0.0
-            elif math.isnan(ds):
-                out = math.nan
-        elif not _all_inside(ds, math.inf):
+        if not (fast or _all_inside(ds, math.inf)):
             # the limits; at b < 0 the form above can round to NaN at inf,
             # and -expm1 gives a NaN offset a sign bit
             out[ds <= 0.0] = 0.0 if lower else 1.0
@@ -492,16 +485,19 @@ class IFDistribution:
         ys, unwrap = _coerce(y)
         return unwrap(self.x0 + self.quantile_offset(ys))
 
+    def _level_offset(self, t: float) -> float:
+        """x - x0 at the level t in (0, 1) of w = G^(-q)/(p+1), finite p:
+        c (p+1)^(-1/(bq)) (t^(-1/q) - 1)^(1/b)."""
+        return _power_offset(self.c, -math.log1p(self.p) / (self.b * self.q),
+                             -math.log(t) / self.q, 1.0 / self.b)
+
     def median(self) -> float:
-        """Closed-form median; identical for either sign of b."""
-        b, q, c, p, x0 = self.b, self.q, self.c, self.p, self.x0
+        """Closed-form median; identical for either sign of b.  At finite p
+        it is the level t = 1 - 2^(-1/(p+1)) of `_level_offset`."""
         if self._inf_p:
-            return x0 + _power_offset(c, 0.0, _LN2, -1.0 / (b * q), cutoff=True)
-        if p == 0.0:
-            return x0 + _power_offset(c, 0.0, _LN2 / q, 1.0 / b)
-        u = -math.expm1(-_LN2 / (p + 1.0))       # 1 - 2^(-1/(p+1))
-        ln_scale = -math.log1p(p) / (b * q)
-        return x0 + _power_offset(c, ln_scale, -math.log(u) / q, 1.0 / b)
+            return self.x0 + _power_offset(self.c, 0.0, _LN2,
+                                           -1.0 / (self.b * self.q), cutoff=True)
+        return self.x0 + self._level_offset(-math.expm1(-_LN2 / (self.p + 1.0)))
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n inverse-transform draws, deterministic per seed, in stream order.

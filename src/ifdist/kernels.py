@@ -26,7 +26,6 @@ __all__ = [
     "find_root",
     "maximize_scalar",
     "UniformStream",
-    "chunk_seed",
 ]
 
 
@@ -400,17 +399,6 @@ def _splitmix_array(states: np.ndarray) -> np.ndarray:
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
     return z
-
-
-def chunk_seed(master: int, chunk_index: int) -> int:
-    """Independent per-chunk seed: master XOR splitmix(chunk_index).
-
-    splitmix(i) is the i-th output of a zero-seeded splitmix64 stream, so
-    chunk 0 is already scrambled away from the master seed.
-    """
-    z = int(_splitmix_array(np.array([((chunk_index + 1) * _GOLDEN) & _MASK64],
-                                     dtype=np.uint64))[0])
-    return (master ^ z) & _MASK64
 
 
 class UniformStream:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import IFDistribution, IFParams, Subfamily, _power_offset, classify
+from .core import IFDistribution, IFParams, Subfamily, classify
 from .errors import DomainError, NumericFailure
 from .kernels import Bracket, find_root
 
@@ -149,12 +149,10 @@ def solve_mode_equation(params: IFParams, tol: float = 1e-14) -> list[float]:
 
 
 def mode_x_from_t(params: IFParams, t: float) -> float:
-    """Map a root of the stationarity equation back to the x axis."""
-    # Python floats: _power_offset's scalar power must raise OverflowError
-    # rather than warn as a numpy scalar power does
-    b, c, q, p, x0 = map(float, (params.b, params.c, params.q, params.p, params.x0))
-    ln_scale = -math.log1p(p) / (b * q)
-    return x0 + _power_offset(c, ln_scale, -math.log(t) / q, 1.0 / b)
+    """The level map `IFDistribution._level_offset` from t, here a root of
+    the stationarity equation, to x; the median is its t = 1 - 2^(-1/(p+1))."""
+    d = IFDistribution(params)
+    return d.x0 + d._level_offset(t)
 
 
 def _closed_form_mode(params: IFParams, sub: Subfamily) -> float:
@@ -180,7 +178,7 @@ def mode(params: IFParams) -> ModeResult:
     sub = classify(params)
     if sub is Subfamily.GENERAL:
         roots = solve_mode_equation(params)
-        xs, n = [mode_x_from_t(params, t) for t in roots], len(roots)
+        xs, n = [d.x0 + d._level_offset(t) for t in roots], len(roots)
     else:
         xs, n = [_closed_form_mode(params, sub)] if e > 0 else [], 0
     best_x, best_f = params.x0, d._boundary

@@ -347,6 +347,14 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--suite", "roundtrip")
         assert code == 0 and "result=pass" in out
 
+    @pytest.mark.parametrize("suite", ["normalization", "modes"])
+    def test_suite_passes_within_its_default_tol(self, capsys, suite):
+        code, out, _ = run(capsys, "check", "--suite", suite)
+        fields = dict(f.split("=") for f in out.split())
+        assert code == 0 and fields["result"] == "pass"
+        assert float(fields["worst"]) <= cli._SUITES[suite][1]
+        assert float(fields["tol"]) == cli._SUITES[suite][1]
+
     def test_moments_passes_with_row_report(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "moments")
         assert code == 0 and "result=pass" in out

@@ -16,7 +16,6 @@ from ifdist import (
     IFParams,
     UniformStream,
     beta,
-    chunk_seed,
     find_root,
     integrate,
     kernels,
@@ -381,11 +380,6 @@ class TestUniformStream:
         a = UniformStream(s1).draws(10)
         b = UniformStream(s2).draws(10)
         assert not np.array_equal(a, b)
-
-    def test_chunk_seed_mixing(self):
-        seeds = {chunk_seed(42, i) for i in range(100)}
-        assert len(seeds) == 100
-        assert chunk_seed(42, 3) == chunk_seed(42, 3)
 
     def test_negative_n(self):
         with pytest.raises(DomainError):
