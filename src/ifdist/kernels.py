@@ -89,7 +89,7 @@ def beta(a: float, b: float) -> float:
 # adaptive quadrature (15-point Gauss-Kronrod, global strategy)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadratureResult:
     value: float
     abs_error_estimate: float
@@ -140,63 +140,104 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # 15 ascending nodes
 _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])              # matching Kronrod weights
 _WGFULL = np.zeros(15)
 _WGFULL[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])    # Gauss weights on odd slots
+_W = np.stack([_WK, _WGFULL], axis=1)                     # (15 x 2): both rules at once
 
 # Upper limit of the log substitution u: x - lo = expm1(u) stays below the
 # largest finite double.
 _U_MAX = 709.0
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
-    """One Gauss-Kronrod pass over each interval between consecutive edges,
-    with f called once on all their nodes: [(value, error_estimate), ...]."""
-    lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
-    xs = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _NODES
+def _sums(ys: np.ndarray) -> np.ndarray:
+    """The Kronrod and Gauss sums of each row of ys, from one product with
+    the (15 x 2) weight matrix.  A one-row product would go through BLAS's
+    matrix-vector kernel, which rounds differently, so one row is doubled."""
+    return ((ys if len(ys) > 1 else np.vstack([ys, ys])) @ _W)[:len(ys)]
+
+
+def _rule(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],
+          hi: Sequence[float]) -> list:
+    """The 15-point Gauss-Kronrod rule on each interval [lo[i], hi[i]], with
+    f called once on all their nodes: a (value, error_estimate) row per
+    interval, and None for an interval where f returned NaN."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     ys = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     finite = np.isfinite(ys).all(axis=1)
-    if not finite.all():
-        nan_rows = np.isnan(ys).any(axis=1)
-        if nan_rows.any():
-            i = int(np.argmax(nan_rows))
-            raise NumericFailure(f"integrand returned NaN on [{edges[i]}, {edges[i + 1]}]")
+    # a non-finite value stays out of the products: inf times a zero Gauss
+    # weight is NaN
+    safe = ys if finite.all() else np.where(finite[:, None], ys, 0.0)
+    sums = _sums(safe)
+    vk = half * sums[:, 0]
+    resasc = half * _sums(np.abs(safe - (vk / (hi - lo))[:, None]))[:, 0]
+    diff = np.abs(vk - half * sums[:, 1])
     out = []
-    # each interval's rule on its own 15 values: a matrix product over all
-    # rows would round differently
-    for a, b, y, ok in zip(edges[:-1], edges[1:], ys, finite):
-        half = 0.5 * (b - a)
-        if not ok:
+    for i, (ok, k, d, r) in enumerate(zip(finite.tolist(), vk.tolist(),
+                                          diff.tolist(), resasc.tolist())):
+        if ok:
+            # QUADPACK-style error heuristic keyed to the integrand's
+            # variation, in Python floats: np.power rounds differently
+            out.append((k, r * min(1.0, (200.0 * d / r) ** 1.5) if r != 0.0 else d))
+        elif np.isnan(ys[i]).any():
+            out.append(None)
+        else:
             # an infinite value: the Kronrod sum is +-inf (NaN where both
             # signs meet) and no finite error estimate holds
             with np.errstate(invalid="ignore"):
-                out.append((half * float(_WK @ y), math.inf))
-            continue
-        vk = half * float(_WK @ y)
-        vg = half * float(_WGFULL @ y)
-        # QUADPACK-style error heuristic keyed to the integrand's variation
-        resasc = half * float(_WK @ np.abs(y - vk / (b - a)))
-        diff = abs(vk - vg)
-        if resasc != 0.0:
-            err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-        else:
-            err = diff
-        out.append((vk, err))
+                out.append((float(half[i]) * float(_WK @ ys[i]), math.inf))
     return out
 
 
+def _used(row, a: float, b: float) -> tuple[float, float]:
+    if row is None:
+        raise NumericFailure(f"integrand returned NaN on [{a}, {b}]")
+    return row
+
+
+def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
+    """One Gauss-Kronrod pass over each interval between consecutive edges,
+    with f called once on all their nodes: [(value, error_estimate), ...]."""
+    rows = _rule(f, edges[:-1], edges[1:])
+    return [_used(row, a, b) for row, a, b in zip(rows, edges[:-1], edges[1:])]
+
+
+def _split(f, a: float, m: float, b: float) -> list:
+    """The rule on [a, m] and [m, b] and, in the same call of f, on the two
+    halves of each one that has a representable midpoint: a (row, ahead)
+    pair per half, where ahead holds the rows of its own halves, or None."""
+    halves = ((a, m), (m, b))
+    deep = [c < 0.5 * (c + d) < d for c, d in halves]
+    lo, hi = [a, m], [m, b]
+    for (c, d), ok in zip(halves, deep):
+        if ok:
+            mid = 0.5 * (c + d)
+            lo += [c, mid]
+            hi += [mid, d]
+    rows = _rule(f, lo, hi)
+    quarters = iter(rows[2:])
+    return [(row, (next(quarters), next(quarters)) if ok else None)
+            for row, ok in zip(rows, deep)]
+
+
 def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
-    """Global adaptive refinement over an initial mesh; never touches endpoints."""
-    heap = []  # (-err, tiebreak, a, b, value)
+    """Global adaptive refinement over an initial mesh; never touches endpoints.
+
+    Splitting an interval whose halves are not yet known evaluates, in the
+    same call of f, each half's own halves too; the half carries them, so
+    its own split later needs no call.  The look-ahead changes no step."""
+    heap = []  # (-err, tiebreak, a, b, value, ahead): ahead as in _split
     segments = []  # unsplittable leftovers: (value, err)
     stuck_err = 0.0
     live_err = 0.0
     seeds = zip(breakpoints[:-1], breakpoints[1:], _gk15(f, breakpoints))
     for counter, (a, b, (v, e)) in enumerate(seeds, 1):
         live_err += e
-        heappush(heap, (-e, counter, a, b, v))
+        heappush(heap, (-e, counter, a, b, v, None))
     evals = 15 * counter
 
     while (heap and stuck_err + live_err > tol and stuck_err <= tol
            and evals < limit * 15):
-        neg_e, _, a, b, v = heappop(heap)
+        neg_e, _, a, b, v, ahead = heappop(heap)
         live_err += neg_e  # removes the popped error
         m = 0.5 * (a + b)
         if not (a < m < b) or neg_e == -math.inf:
@@ -205,12 +246,14 @@ def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
             segments.append((v, -neg_e))
             stuck_err += -neg_e
             continue
-        (v1, e1), (v2, e2) = _gk15(f, (a, m, b))
+        (row1, ahead1), (row2, ahead2) = (
+            _split(f, a, m, b) if ahead is None else [(row, None) for row in ahead])
+        (v1, e1), (v2, e2) = _used(row1, a, m), _used(row2, m, b)
         evals += 30
         counter += 1
-        heappush(heap, (-e1, counter, a, m, v1))
+        heappush(heap, (-e1, counter, a, m, v1, ahead1))
         counter += 1
-        heappush(heap, (-e2, counter, m, b, v2))
+        heappush(heap, (-e2, counter, m, b, v2, ahead2))
         live_err += e1 + e2
 
     values = [v for v, _ in segments] + [h[4] for h in heap]
@@ -237,9 +280,13 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-8,
     When the refinement budget runs out the result is flagged converged=False
     rather than silently trusted.
 
-    f must act elementwise on a 1-d array of nodes: it is called once on the
-    nodes of the whole seed mesh and then once per refinement step, on the
-    nodes of both halves of the interval being split.
+    f must act elementwise on a 1-d array of nodes, whole 15-node rows of
+    them: it is called once on the nodes of the whole seed mesh, then on the
+    nodes of both halves of an interval being split together with each
+    half's own halves, so the next split of either half needs no call (one
+    call serves about two refinement steps).  `evaluations` counts the nodes
+    the result rests on; f may see about 1.5 times as many, because a
+    look-ahead row goes unused where its half is never split.
     """
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol!r}")

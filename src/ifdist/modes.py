@@ -63,7 +63,7 @@ class ModeKind(enum.Enum):
     ASYMPTOTE = "asymptote-at-boundary"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModeResult:
     kind: ModeKind
     x: float

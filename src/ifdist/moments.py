@@ -61,7 +61,7 @@ _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentResult:
     """A finite moment with provenance, or the violated existence condition."""
 
