@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import IFParams
+from .core import _PARAM_NAMES, IFParams
 from .errors import DomainError, NumericFailure
 from .kernels import beta, ln_gamma
 from .moments import MomentResult, mean, moment_exists
@@ -64,7 +64,6 @@ _FORMULA_NAMES = {"__builtins__": {}, "B": lambda x, y: beta(x, y),
 # The arguments read back off a family point other than by name, each with
 # the family parameter it comes from: m = p + 1 and gamma = 1/b.
 _READ_BACK = {"m": ("p", lambda p: p + 1.0), "gamma": ("b", lambda b: 1.0 / b)}
-_FAMILY = ("p", "b", "c", "q", "x0")
 
 
 def _read_back(names, pa: IFParams) -> dict[str, float]:
@@ -127,7 +126,7 @@ class CatalogEntry:
         read = {_READ_BACK[pname][0] for pname in args if pname in _READ_BACK}
         image = self.to_if(**args)
         return all(getattr(image, f) == getattr(pa, f)
-                   for f in _FAMILY if f not in read)
+                   for f in _PARAM_NAMES if f not in read)
 
     def record(self) -> dict:
         """The machine-readable listing of this entry."""
@@ -349,7 +348,7 @@ def _binder(parent: str, child: str, condition: str, direction: str):
     "up" maps child args to parent args, "down" parent args to child args
     (where the reverse would force a double reciprocal)."""
     source, target = (child, parent) if direction == "up" else (parent, child)
-    names = _FAMILY if target == "if" else [
+    names = _PARAM_NAMES if target == "if" else [
         pname for pname, _ in CATALOG[target].free_parameters]
     return lambda a: _read_back(names, CATALOG[source].to_if(**a))
 

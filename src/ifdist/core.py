@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -128,7 +128,7 @@ class IFParams:
         vals = (self.p, self.b, self.c, self.q, self.x0)
         if not all(map(_is_real, vals)):
             return [f"{name} must be a real number, got {v!r}"
-                    for name, v in zip(("p", "b", "c", "q", "x0"), vals)
+                    for name, v in zip(_PARAM_NAMES, vals)
                     if not _is_real(v)]
         out = []
         if math.isnan(self.p) or self.p < 0:
@@ -142,6 +142,11 @@ class IFParams:
         if math.isnan(self.x0) or math.isinf(self.x0) or self.x0 < 0:
             out.append("x0 must be nonnegative and finite")
         return out
+
+
+# the five names in parameter order: the one list the CLI flags, the mode
+# grid axes and the catalog maps read
+_PARAM_NAMES = tuple(f.name for f in fields(IFParams))
 
 
 class Subfamily(enum.Enum):
@@ -411,8 +416,7 @@ class IFDistribution:
 
     def hazard(self, x):
         """pdf / survival, from the explicit branch for each sign of b."""
-        xs, unwrap = _coerce(x)
-        ds = xs - self.x0
+        ds, unwrap = _coerce(self._offset(x))
         if not (ds > 0).all():
             raise DomainError("hazard requires x > x0")
         with np.errstate(all="ignore"):
@@ -440,7 +444,7 @@ class IFDistribution:
                 ln_y, ln_g, ln_1mw = self._terms(ds)
                 out = np.exp(self._ln_density(ln_y, ln_g, None) - ln_1mw)
         if not (self._inf_p and self.b < 0):
-            out[np.isinf(xs)] = 0.0  # the limit; the forms above meet inf - inf
+            out[np.isinf(ds)] = 0.0  # the limit; the forms above meet inf - inf
         return unwrap(out)
 
     def _quantile_plus_offset(self, ln_y: np.ndarray,
@@ -482,8 +486,7 @@ class IFDistribution:
     def quantile(self, y):
         """Inverse cdf on [0, 1]; strictly increasing on (0, 1), with
         quantile(0) = x0 and quantile(1) = +inf."""
-        ys, unwrap = _coerce(y)
-        return unwrap(self.x0 + self.quantile_offset(ys))
+        return self.x0 + self.quantile_offset(y)
 
     def _level_offset(self, t: float) -> float:
         """x - x0 at the level t in (0, 1) of w = G^(-q)/(p+1), finite p:

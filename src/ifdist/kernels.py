@@ -141,6 +141,7 @@ _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])              # matching Kronrod we
 _WGFULL = np.zeros(15)
 _WGFULL[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])    # Gauss weights on odd slots
 _W = np.stack([_WK, _WGFULL], axis=1)                     # (15 x 2): both rules at once
+_X_OUTER = float(_XGK[0])                                 # the outermost node, +-
 
 # Upper limit of the log substitution u: x - lo = expm1(u) stays below the
 # largest finite double.
@@ -201,26 +202,39 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
     return [_used(row, a, b) for row, a, b in zip(rows, edges[:-1], edges[1:])]
 
 
+# The midpoint of [a, b] where the split rule that `_adapt` states allows
+# the split, else None: one rule for its stop test and `_split`'s look-ahead.
+# The nodes `_rule` forms rise with the abscissae, so the outermost two of
+# each half decide whether all lie strictly inside it.
+def _split_point(a: float, b: float) -> float | None:
+    m = 0.5 * (a + b)
+    ca, ra = 0.5 * (a + m), 0.5 * (m - a) * _X_OUTER
+    cb, rb = 0.5 * (m + b), 0.5 * (b - m) * _X_OUTER
+    return m if a < ca - ra and ca + ra < m < cb - rb and cb + rb < b else None
+
+
 def _split(f, a: float, m: float, b: float) -> list:
     """The rule on [a, m] and [m, b] and, in the same call of f, on the two
-    halves of each one that has a representable midpoint: a (row, ahead)
-    pair per half, where ahead holds the rows of its own halves, or None."""
+    halves of each one that `_split_point` lets split: a (row, ahead) pair
+    per half, where ahead holds the rows of its own halves, or None."""
     halves = ((a, m), (m, b))
-    deep = [c < 0.5 * (c + d) < d for c, d in halves]
+    mids = [_split_point(c, d) for c, d in halves]
     lo, hi = [a, m], [m, b]
-    for (c, d), ok in zip(halves, deep):
-        if ok:
-            mid = 0.5 * (c + d)
+    for (c, d), mid in zip(halves, mids):
+        if mid is not None:
             lo += [c, mid]
             hi += [mid, d]
     rows = _rule(f, lo, hi)
     quarters = iter(rows[2:])
-    return [(row, (next(quarters), next(quarters)) if ok else None)
-            for row, ok in zip(rows, deep)]
+    return [(row, None if mid is None else (next(quarters), next(quarters)))
+            for row, mid in zip(rows, mids)]
 
 
 def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
-    """Global adaptive refinement over an initial mesh; never touches endpoints.
+    """Global adaptive refinement over an initial mesh: an interval is split
+    only while every Kronrod node of both halves, formed as `_rule` forms
+    them, lies strictly inside its half.  A seed interval narrower than its
+    own nodes is still evaluated once, at nodes that round onto its ends.
 
     Splitting an interval whose halves are not yet known evaluates, in the
     same call of f, each half's own halves too; the half carries them, so
@@ -239,10 +253,10 @@ def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
            and evals < limit * 15):
         neg_e, _, a, b, v, ahead = heappop(heap)
         live_err += neg_e  # removes the popped error
-        m = 0.5 * (a + b)
-        if not (a < m < b) or neg_e == -math.inf:
-            # no representable midpoint left, or an infinite integrand value
-            # that no split can settle
+        m = _split_point(a, b)
+        if m is None or neg_e == -math.inf:
+            # halves whose nodes would round onto their ends, or an infinite
+            # integrand value that no split can settle
             segments.append((v, -neg_e))
             stuck_err += -neg_e
             continue
@@ -275,8 +289,11 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-8,
     """Adaptive quadrature of f over [lo, hi], hi may be math.inf.
 
     Semi-infinite ranges are mapped with x = lo + expm1(u) so that power-law
-    tails become exponentially decaying integrands in u; endpoints are never
-    evaluated (open nodes), so integrable singularities at lo are fine.
+    tails become exponentially decaying integrands in u.  An interval is
+    split only while every Kronrod node of both halves lies strictly inside
+    its half, so f never sees the end of an interval being refined and
+    integrable singularities at lo are fine; a seed interval narrower than
+    its own nodes, such as [1, nextafter(1, 2)], is still evaluated once.
     When the refinement budget runs out the result is flagged converged=False
     rather than silently trusted.
 

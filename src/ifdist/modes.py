@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import IFDistribution, IFParams, Subfamily, classify
+from .core import _PARAM_NAMES, IFDistribution, IFParams, Subfamily, classify
 from .errors import DomainError, NumericFailure
 from .kernels import Bracket, find_root
 
@@ -128,7 +128,8 @@ _T_GRID.flags.writeable = False
 
 
 def solve_mode_equation(params: IFParams, tol: float = 1e-14) -> list[float]:
-    """All distinct roots t in (0, 1) of the stationarity equation (finite p)."""
+    """The roots t in (0, 1) of the stationarity equation (finite p), sorted:
+    one per sign change of the residual on the t grid, and its exact zeros."""
     IFDistribution(params)  # validate
     if math.isinf(params.p):
         raise DomainError("the stationarity equation in t requires finite p")
@@ -140,12 +141,7 @@ def solve_mode_equation(params: IFParams, tol: float = 1e-14) -> list[float]:
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
         roots.append(find_root(residual, Bracket(float(ts[i]), float(ts[i + 1])),
                                tol=tol))
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, abs(r)):
-            merged.append(r)
-    return merged
+    return sorted(roots)
 
 
 def mode_x_from_t(params: IFParams, t: float) -> float:
@@ -196,13 +192,10 @@ def mode(params: IFParams) -> ModeResult:
     return ModeResult.boundary(params.x0, best_f, n)
 
 
-_AXIS_NAMES = ("p", "b", "c", "q", "x0")
-
-
 def mode_grid(template: IFParams, axis1: tuple[str, float, float],
               axis2: tuple[str, float, float],
               steps: int | tuple[int, int]) -> np.ndarray:
-    """Matrix of mode locations over a 2-parameter sweep.
+    """Matrix of mode locations over a 2-parameter sweep between finite bounds.
 
     Row i, column j holds the mode x for axis1 value i and axis2 value j.
     Boundary modes are encoded as -1.0 and asymptotes at x0 as -2.0 (real
@@ -214,13 +207,13 @@ def mode_grid(template: IFParams, axis1: tuple[str, float, float],
     name1, lo1, hi1 = axis1
     name2, lo2, hi2 = axis2
     for name in (name1, name2):
-        if name not in _AXIS_NAMES:
+        if name not in _PARAM_NAMES:
             raise DomainError(f"unknown axis parameter {name!r}")
     if name1 == name2:
         raise DomainError("the two axes must name different parameters")
     for lo, hi in ((lo1, hi1), (lo2, hi2)):
-        if math.isnan(lo) or math.isnan(hi) or lo > hi:
-            raise DomainError("axis range must satisfy lo <= hi")
+        if not -math.inf < lo <= hi < math.inf:  # NaN too
+            raise DomainError("axis range must satisfy finite lo <= hi")
     vals1 = np.linspace(lo1, hi1, n1)
     vals2 = np.linspace(lo2, hi2, n2)
     out = np.empty((n1, n2))

@@ -321,7 +321,10 @@ class TestModeGrid:
                              "--q", "1", "--x0", "0", "modegrid",
                              "--axis1", axis, "--axis2", "q,1,2")
         assert code == 1 and out == ""
-        assert err == "ifdist: --axis expects NAME,LO,HI\n"
+        # the CLI only parses the bounds; mode_grid rejects non-finite ones
+        parsed = axis in ("p,0,inf", "b,nan,2", "b,-inf,2")
+        assert err == ("ifdist: axis range must satisfy finite lo <= hi\n" if parsed
+                       else "ifdist: --axis expects NAME,LO,HI\n")
 
 
 class TestCatalog:
@@ -392,10 +395,12 @@ class TestExitCodes:
         ("--dist exponential --params {tmp}/pars.txt --c 1 summary",
          "--dist and --params are mutually exclusive"),
         ("--dist exponential --c 1 sample --n -1 --seed 1 --out {tmp}/x.csv",
-         "--n must be nonnegative"),
+         "n must be nonnegative, got -1"),
         ("curve --vary p --values ,", "--values must name at least one sweep value"),
         ("--dist exponential --c 1 modegrid --axis1 q,1,2 --axis2 c,1,2 --steps 0,3",
-         "--steps expects N1,N2 with integers >= 1"),
+         "mode_grid needs at least one step per axis"),
+        ("--dist exponential --c 1 modegrid --axis1 q,1,2 --axis2 c,1,2 --steps 1.5,3",
+         "--steps expects N1,N2 with integers"),
         ("catalog show", "catalog show requires a name"),
         ("check --suite roundtrip --tol 0", "--tol must be positive"),
         ("check --suite roundtrip --tol nan", "--tol must be positive"),
@@ -421,7 +426,7 @@ class TestExitCodes:
 
     def test_numeric_failure_exits_2(self, capsys):
         # the density rounds to NaN near x0 here, so the moment quadrature
-        # raises (ROADMAP item 1)
+        # raises (ROADMAP items 2 and 3)
         code, _, err = run(capsys, "--p", "6.110284993404673",
                            "--b", "2.2938144691702855", "--c", "1.823280400491926",
                            "--q", "3.400199961998661", "--x0", "0.8293116987113416",

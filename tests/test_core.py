@@ -515,10 +515,21 @@ class TestFarRange:
     @pytest.mark.xfail(strict=True, reason=(
         "b < 0 at finite p: ln G = logaddexp(ln k, b ln y) rounds to ln k in "
         "the far right tail, so ln(1 - w) is lost; the ln t form of ROADMAP "
-        "item 1 fixes it"))
+        "item 2 fixes it"))
     def test_b_negative_far_right_tail(self):
         d = IFDistribution(IFParams(0.5, -1.5, 1e-3, 2.0, 0.0))
         assert d.hazard(1e306) == pytest.approx(2.25e-306, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "small p, b > 0: ln w = -q ln G - ln(p + 1) cancels to about 1e-17 "
+        "and keeps ln G's absolute rounding, so the lower-tail cdf reads "
+        "1.0285e-17 (ROADMAP item 2)"))
+    def test_lower_tail_cdf_at_small_p(self):
+        # x is the quantile of 1e-17; the closed-form cdf there at 40 and 80
+        # digits of mpmath is 1.00000000000000004464e-17
+        d = IFDistribution(IFParams(0.004263593054679348, 1.0, 0.41753005533152676,
+                                    4.168562581055472, 0.0))
+        assert d.cdf(1.1814940272845318e-18) == pytest.approx(1e-17, rel=1e-12, abs=0)
 
 
 class TestExtremeParameters:

@@ -146,6 +146,17 @@ class TestIntegrate:
         assert not r.converged and r.abs_error_estimate == math.inf
         assert r.value == math.inf and r.evaluations == evals
 
+    def test_refinement_never_evaluates_an_end(self):
+        # the refinement reaches the width of an ulp at lo = 1, where a
+        # midpoint still exists but the nodes of its halves round onto lo
+        rec = _Recorded(lambda x: 1.0 / np.sqrt(x - 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = integrate(rec, 1.0, 2.0, 1e-12)
+        assert np.concatenate(rec.calls).min() > 1.0
+        assert not r.converged
+        assert r.value == pytest.approx(2.0, rel=0, abs=r.abs_error_estimate)
+
     def test_bad_bounds(self):
         with pytest.raises(DomainError):
             integrate(lambda x: x, 1.0, 1.0, 1e-8)
@@ -178,8 +189,8 @@ def _adapt_one_interval(f, breakpoints, tol, limit):
            and evals < limit * 15):
         neg_e, _, a, b, v = heappop(heap)
         live_err += neg_e
-        m = 0.5 * (a + b)
-        if not (a < m < b):
+        m = kernels._split_point(a, b)
+        if m is None:
             segments.append((v, -neg_e))
             stuck_err += -neg_e
             continue

@@ -307,7 +307,7 @@ class TestGeneralSearchFailsHonestly:
             mode(pa)
 
     @pytest.mark.xfail(strict=True, raises=NumericFailure,
-                       reason="t grid floor 1e-12 misses the root (ROADMAP item 5)")
+                       reason="t grid floor 1e-12 misses the root (ROADMAP item 4)")
     @pytest.mark.parametrize("pa, x, f", MISSED)
     def test_missed_root_found(self, pa, x, f):
         res = mode(pa)
@@ -414,6 +414,16 @@ class TestModeGrid:
             mode_grid(template, ("b", 1.0, 2.0), ("b", 1.0, 2.0), 3)
         with pytest.raises(DomainError):
             mode_grid(template, ("b", 2.0, 1.0), ("q", 0.5, 1.0), 3)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, INF), (-INF, 2.0), (-INF, INF),
+                                        (math.nan, 2.0), (1.0, math.nan)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_bound(self, lo, hi, axis):
+        # an infinite bound would reach IFParams as NaN through linspace
+        axes = [("b", 1.0, 2.0), ("q", 0.5, 1.0)]
+        axes[axis] = (axes[axis][0], lo, hi)
+        with pytest.raises(DomainError, match="finite lo <= hi"):
+            mode_grid(IFParams(0.0, 1.0, 1.0, 1.0, 0.0), *axes, 3)
 
 
 class TestOracleAgreement:

@@ -580,3 +580,42 @@ class TestUnitIntervalForm:
                              0.8293116987113416)
         with pytest.raises(NumericFailure, match="NaN"):
             mean(nan_point)
+
+
+# Means of open defects, each a strict xfail naming its ROADMAP item.  The
+# references were computed once with mpmath at 40 and 80 digits (the two
+# agree to 25), so no mpmath is needed here.  Each comes from a form whose
+# integrand is bounded: the [0, 1] form with v = s^(1/a) below 1/2 and
+# 1 - v = t^(1/beta) above it, or, at p = 1e12, u = p v^q, where
+# (1 - u/p)^p decays like e^(-u).  The IF3 mean at p = 1e200 is the closed
+# form m^(1 - 1/q) (B(1 - 1/q, m) - 1/m) at 250 and 300 digits, and the
+# same u form with u = s^(q/a) agrees.
+OPEN_DEFECT_MEANS = [
+    pytest.param(IFParams(0.0025492254626320633, -1.3838072136940511, 1.0,
+                          2.7304148267427943, 0.0), 6.434419392358350,
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                     "the x-space quadrature converges to 6.4343796977033465 "
+                     "with error 1e-9 (ROADMAP item 3)")),
+                 id="x-space-silently-wrong"),
+    pytest.param(IFParams(1.0, -1.5, 1.0, 1.0 / 3.0, 1.0), 1.9334449988582002,
+                 marks=pytest.mark.xfail(strict=True, raises=NumericFailure, reason=(
+                     "the b < 0 far-tail density is NaN, and the x-space "
+                     "quadrature raises before the [0, 1] form (ROADMAP item 3)")),
+                 id="far-tail-nan"),
+    pytest.param(IFParams(1e12, -0.15, 1.0, 0.2, 0.0), 2.8038651505428394e37,
+                 marks=pytest.mark.xfail(strict=True, raises=NumericFailure, reason=(
+                     "the [0, 1] integrand lies below the doubles, about 1e-374 "
+                     "(ROADMAP item 3)")),
+                 id="unit-form-underflow"),
+    pytest.param(IFParams(1e200, 1.0, 1.0, 100.0, 0.0), 0.9958719796441078,
+                 marks=pytest.mark.xfail(strict=True, raises=NumericFailure, reason=(
+                     "the IF3 betas at m = 1e200 cancel in ln Gamma "
+                     "(ROADMAP item 5)")),
+                 id="if3-large-p-beta"),
+]
+
+
+@pytest.mark.parametrize("pa, want", OPEN_DEFECT_MEANS)
+def test_open_defect_mean(pa, want):
+    res = mean(pa)
+    assert res.value == pytest.approx(want, rel=1e-12)
