@@ -25,7 +25,7 @@ from typing import Callable
 from .core import _PARAM_NAMES, IFParams
 from .errors import DomainError, NumericFailure
 from .kernels import beta, ln_gamma
-from .moments import MomentResult, mean, moment_exists
+from .moments import CLOSED_FORM, MomentResult, mean, moment_exists
 
 __all__ = [
     "CatalogEntry",
@@ -448,9 +448,10 @@ def table1_mean(name: str, **args) -> MomentResult:
         return mean(pa)
     exists, condition = moment_exists(pa, 1)
     if not exists:
-        return MomentResult.non_existent(condition)
+        return MomentResult(constraint=condition)
     try:
-        return MomentResult.closed_form(_evaluate(e.mean_text, args))
+        return MomentResult(value=_evaluate(e.mean_text, args),
+                            provenance=CLOSED_FORM)
     except OverflowError as exc:  # a Gamma or a power beyond the doubles
         raise NumericFailure(f"the {name} mean at {args} overflowed: {exc}") from exc
 

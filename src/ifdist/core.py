@@ -50,37 +50,12 @@ def _first_float(out: np.ndarray) -> float:
     return float(out[0])
 
 
-def _power_offset(c: float, ln_scale: float, z, expo: float,
-                  cutoff: bool = False):
-    """c e^ln_scale w^expo, the closed-form quantile offset, with w = z at
-    p = inf (cutoff) and w = e^z - 1 otherwise, for a float or an array z.
-    A factor can leave the doubles while the product does not; only where
-    the linear-space product is not finite and positive is it formed from
-    logs, so every other result keeps its bits."""
-    scalar = isinstance(z, float)
+def _exp(x: float) -> float:
+    """math.exp, reading inf where the value leaves the doubles."""
     try:
-        if cutoff:
-            out = z ** expo
-        elif scalar:
-            out = math.expm1(z) ** expo
-        else:  # in place, so no 1e6-element temporary is added
-            out = np.expm1(z)
-            np.power(out, expo, out=out)
-        out *= c * math.exp(ln_scale)
-    except OverflowError:  # math.exp, math.expm1 or a Python float power
-        out = np.full(np.shape(z), math.nan)
-    if scalar:
-        if 0.0 < out < math.inf:
-            return out
-        out = np.array(out)
-    elif np.isfinite(out).all() and out.all():
-        return out
-    bad = ~np.isfinite(out) | (out == 0.0)
-    zb = np.asarray(z)[bad]
-    with np.errstate(over="ignore", divide="ignore"):
-        ln_w = np.log(zb) if cutoff else zb + np.log(-np.expm1(-zb))
-        out[bad] = np.exp(math.log(c) + ln_scale + expo * ln_w)
-    return float(out) if scalar else out
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _ln1m_exp_near(ln_w):
@@ -266,12 +241,8 @@ class IFDistribution:
         b, q, c, p = self.b, self.q, self.c, self.p
         if b < 0:
             return 1.0 / c
-        ln_val = (math.log(b) + (p + 1.0) * math.log(q)
-                  + ((p + q + 1.0) / q) * math.log1p(p) - math.log(c))
-        try:
-            return math.exp(ln_val)
-        except OverflowError:
-            return math.inf
+        return _exp(math.log(b) + (p + 1.0) * math.log(q)
+                    + ((p + q + 1.0) / q) * math.log1p(p) - math.log(c))
 
     # -- the one path from the offset to the log terms ------------------------
 
@@ -447,6 +418,40 @@ class IFDistribution:
             out[np.isinf(ds)] = 0.0  # the limit; the forms above meet inf - inf
         return unwrap(out)
 
+    def _offset_at(self, z):
+        """x - x0 at z, a float or an array, the closed-form quantile
+        offset: c z^(-1/(bq)) at p = inf and c (p+1)^(-1/(bq)) (e^z - 1)^(1/b)
+        at finite p.  A factor can leave the doubles while the product does
+        not; only where the linear-space product is not finite and positive
+        is it formed from logs, so every other result keeps its bits."""
+        b, q, c = self.b, self.q, self.c
+        expo = -1.0 / (b * q) if self._inf_p else 1.0 / b
+        ln_scale = 0.0 if self._inf_p else -math.log1p(self.p) / (b * q)
+        scalar = isinstance(z, float)
+        try:
+            if self._inf_p:
+                out = z ** expo
+            elif scalar:
+                out = math.expm1(z) ** expo
+            else:  # in place, so no 1e6-element temporary is added
+                out = np.expm1(z)
+                np.power(out, expo, out=out)
+            out *= c * math.exp(ln_scale)
+        except OverflowError:  # math.exp, math.expm1 or a Python float power
+            out = np.full(np.shape(z), math.nan)
+        if scalar:
+            if 0.0 < out < math.inf:
+                return out
+            out = np.array(out)
+        elif np.isfinite(out).all() and out.all():
+            return out
+        bad = ~np.isfinite(out) | (out == 0.0)
+        zb = np.asarray(z)[bad]
+        with np.errstate(over="ignore", divide="ignore"):
+            ln_w = np.log(zb) if self._inf_p else zb + np.log(-np.expm1(-zb))
+            out[bad] = np.exp(math.log(c) + ln_scale + expo * ln_w)
+        return float(out) if scalar else out
+
     def _quantile_plus_offset(self, ln_y: np.ndarray,
                               ln_1my: np.ndarray) -> np.ndarray:
         """Rising-branch quantile minus x0, evaluated from ln(y) and ln(1-y).
@@ -454,17 +459,17 @@ class IFDistribution:
         Taking both logs keeps full precision for probabilities next to
         either endpoint; the b < 0 case reuses this with the two swapped.
         """
-        b, q, c, p = self.b, self.q, self.c, self.p
+        q, p = self.q, self.p
         if self._inf_p:
-            return _power_offset(c, 0.0, -ln_y, -1.0 / (b * q), cutoff=True)
+            return self._offset_at(-ln_y)
         if p == 0.0:
-            return _power_offset(c, 0.0, -ln_1my / q, 1.0 / b)
+            return self._offset_at(-ln_1my / q)
         u = -np.expm1(ln_y / (p + 1.0))          # 1 - y^(1/(p+1))
         low = u == 1.0                           # deep in the lower tail
         z = np.log(u, out=u)                     # in place: no 1e6-element temporary
         z[low] = np.log1p(-np.exp(ln_y[low] / (p + 1.0)))
         z /= -q
-        return _power_offset(c, -math.log1p(p) / (b * q), z, 1.0 / b)
+        return self._offset_at(z)
 
     def quantile_offset(self, y):
         """quantile(y) - x0 without forming x, so offsets far below the
@@ -491,16 +496,13 @@ class IFDistribution:
     def _level_offset(self, t: float) -> float:
         """x - x0 at the level t in (0, 1) of w = G^(-q)/(p+1), finite p:
         c (p+1)^(-1/(bq)) (t^(-1/q) - 1)^(1/b)."""
-        return _power_offset(self.c, -math.log1p(self.p) / (self.b * self.q),
-                             -math.log(t) / self.q, 1.0 / self.b)
+        return self._offset_at(-math.log(t) / self.q)
 
     def median(self) -> float:
         """Closed-form median; identical for either sign of b.  At finite p
         it is the level t = 1 - 2^(-1/(p+1)) of `_level_offset`."""
-        if self._inf_p:
-            return self.x0 + _power_offset(self.c, 0.0, _LN2,
-                                           -1.0 / (self.b * self.q), cutoff=True)
-        return self.x0 + self._level_offset(-math.expm1(-_LN2 / (self.p + 1.0)))
+        return self.x0 + (self._offset_at(_LN2) if self._inf_p else
+                          self._level_offset(-math.expm1(-_LN2 / (self.p + 1.0))))
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n inverse-transform draws, deterministic per seed, in stream order.

@@ -195,13 +195,6 @@ def _used(row, a: float, b: float) -> tuple[float, float]:
     return row
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float]):
-    """One Gauss-Kronrod pass over each interval between consecutive edges,
-    with f called once on all their nodes: [(value, error_estimate), ...]."""
-    rows = _rule(f, edges[:-1], edges[1:])
-    return [_used(row, a, b) for row, a, b in zip(rows, edges[:-1], edges[1:])]
-
-
 # The midpoint of [a, b] where the split rule that `_adapt` states allows
 # the split, else None: one rule for its stop test and `_split`'s look-ahead.
 # The nodes `_rule` forms rise with the abscissae, so the outermost two of
@@ -243,8 +236,9 @@ def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
     segments = []  # unsplittable leftovers: (value, err)
     stuck_err = 0.0
     live_err = 0.0
-    seeds = zip(breakpoints[:-1], breakpoints[1:], _gk15(f, breakpoints))
-    for counter, (a, b, (v, e)) in enumerate(seeds, 1):
+    los, his = breakpoints[:-1], breakpoints[1:]
+    for counter, (a, b, row) in enumerate(zip(los, his, _rule(f, los, his)), 1):
+        v, e = _used(row, a, b)
         live_err += e
         heappush(heap, (-e, counter, a, b, v, None))
     evals = 15 * counter

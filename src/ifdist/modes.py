@@ -44,6 +44,10 @@ MODE_ASYMPTOTE = -2.0
 _GRID_POINTS = 1000
 _GRID_EPS = 1e-12
 
+# the most cells mode_grid solves: at about 0.12 ms a cell (a 21 x 21 grid
+# of the benchmark's `cli` workload) they take about 2 minutes
+MAX_GRID_CELLS = 10 ** 6
+
 
 class BoundaryKind(enum.Enum):
     DIVERGES = "diverges-to-infinity"
@@ -69,18 +73,6 @@ class ModeResult:
     x: float
     density: float
     n_candidates: int = 0  # interior stationary points examined (general path)
-
-    @staticmethod
-    def boundary(x0: float, density: float, n_candidates: int = 0) -> "ModeResult":
-        return ModeResult(ModeKind.BOUNDARY, x0, density, n_candidates)
-
-    @staticmethod
-    def interior(x: float, density: float, n_candidates: int = 0) -> "ModeResult":
-        return ModeResult(ModeKind.INTERIOR, x, density, n_candidates)
-
-    @staticmethod
-    def asymptote(x0: float) -> "ModeResult":
-        return ModeResult(ModeKind.ASYMPTOTE, x0, math.inf)
 
 
 def boundary_behavior(params: IFParams) -> BoundaryBehavior:
@@ -170,7 +162,7 @@ def mode(params: IFParams) -> ModeResult:
     d = IFDistribution(params)
     e = d._boundary_exponent()
     if e < 0:
-        return ModeResult.asymptote(params.x0)
+        return ModeResult(ModeKind.ASYMPTOTE, params.x0, math.inf)
     sub = classify(params)
     if sub is Subfamily.GENERAL:
         roots = solve_mode_equation(params)
@@ -183,13 +175,13 @@ def mode(params: IFParams) -> ModeResult:
         if fx > best_f:
             best_x, best_f = x, fx
     if best_x != params.x0:
-        return ModeResult.interior(best_x, best_f, n)
+        return ModeResult(ModeKind.INTERIOR, best_x, best_f, n)
     if e > 0:
         # the density is 0 at x0 and positive above it: a root was missed,
         # or the mode lies closer to x0 than the doubles resolve
         raise NumericFailure(f"no stationary point resolved above the zero "
                              f"density at x0 of {params}")
-    return ModeResult.boundary(params.x0, best_f, n)
+    return ModeResult(ModeKind.BOUNDARY, params.x0, best_f, n)
 
 
 def mode_grid(template: IFParams, axis1: tuple[str, float, float],
@@ -200,10 +192,17 @@ def mode_grid(template: IFParams, axis1: tuple[str, float, float],
     Row i, column j holds the mode x for axis1 value i and axis2 value j.
     Boundary modes are encoded as -1.0 and asymptotes at x0 as -2.0 (real
     modes are >= x0 >= 0, so the codes are unambiguous).
+
+    A grid of more than MAX_GRID_CELLS cells raises DomainError before any
+    array is built: one that large would run for minutes or more, and numpy
+    fails on huge sizes with a different error at each size.
     """
     n1, n2 = (steps, steps) if isinstance(steps, int) else steps
     if n1 < 1 or n2 < 1:
         raise DomainError("mode_grid needs at least one step per axis")
+    if n1 * n2 > MAX_GRID_CELLS:
+        raise DomainError(f"mode_grid allows at most {MAX_GRID_CELLS} cells "
+                          f"(steps N1 x N2)")
     name1, lo1, hi1 = axis1
     name2, lo2, hi2 = axis2
     for name in (name1, name2):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IFDistribution, IFParams, Subfamily, classify
+from .core import IFDistribution, IFParams, Subfamily, _exp, classify
 from .errors import DomainError, NumericFailure
 from .kernels import beta, integrate, ln_gamma
 
@@ -74,18 +74,6 @@ class MomentResult:
     def exists(self) -> bool:
         return self.constraint is None
 
-    @staticmethod
-    def closed_form(value: float, abs_error: float = 0.0) -> "MomentResult":
-        return MomentResult(value=value, provenance=CLOSED_FORM, abs_error=abs_error)
-
-    @staticmethod
-    def numeric(value: float, abs_error: float) -> "MomentResult":
-        return MomentResult(value=value, provenance=NUMERIC, abs_error=abs_error)
-
-    @staticmethod
-    def non_existent(constraint: str) -> "MomentResult":
-        return MomentResult(constraint=constraint)
-
 
 def _check_order(r) -> int:
     try:
@@ -123,7 +111,8 @@ def _x_space_moment(params: IFParams, r: int) -> MomentResult | None:
     tol = 1e-9 * max(1.0, (params.x0 + params.c) ** r)
     res = integrate(integrand, 0.0, math.inf, tol=tol, limit=_LIMIT)
     if res.converged and res.value > tol:
-        return MomentResult.numeric(res.value, res.abs_error_estimate)
+        return MomentResult(value=res.value, provenance=NUMERIC,
+                            abs_error=res.abs_error_estimate)
     return None
 
 
@@ -139,13 +128,6 @@ def _numeric_moment(params: IFParams, r: int) -> MomentResult:
             f"moment quadrature did not converge for {params} r={r}")
     value, err = _binomial(params, r)
     return MomentResult(value=value, provenance=UNIT_INTERVAL, abs_error=err)
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _unit_moment(params: IFParams, k: int) -> tuple[float, float]:
@@ -287,7 +269,7 @@ def _moment(params: IFParams, r: int, body) -> MomentResult:
     IFDistribution(params)  # validate
     ok, condition = moment_exists(params, r)
     if not ok:
-        return MomentResult.non_existent(condition)
+        return MomentResult(constraint=condition)
     try:
         res = body()
     except OverflowError as exc:
@@ -303,7 +285,8 @@ def _moment(params: IFParams, r: int, body) -> MomentResult:
 def _raw_moment(params: IFParams, r: int) -> MomentResult:
     if classify(params) is Subfamily.GENERAL:
         return _numeric_moment(params, r)
-    return MomentResult.closed_form(*_binomial(params, r))
+    value, err = _binomial(params, r)
+    return MomentResult(value=value, provenance=CLOSED_FORM, abs_error=err)
 
 
 def raw_moment(params: IFParams, r) -> MomentResult:

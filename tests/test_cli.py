@@ -5,6 +5,7 @@ import pytest
 
 from ifdist import cli
 from ifdist.cli import main
+from ifdist.kernels import QuadratureResult
 
 
 def run(capsys, *argv):
@@ -388,6 +389,17 @@ class TestCheck:
         assert err == f"offending={points[where]}\n"
 
 
+    def test_unconverged_normalization_fails_with_its_error(self, capsys, monkeypatch):
+        # an unconverged integral counts with its error estimate even where
+        # its value is exactly 1
+        monkeypatch.setattr(cli, "integrate",
+                            lambda *args, **kw: QuadratureResult(1.0, 0.25, False, 15))
+        code, out, err = run(capsys, "check", "--suite", "normalization")
+        assert code == 2
+        assert "worst=2.500e-01" in out and "result=fail" in out
+        assert err == f"offending={next(cli._check_params_iter())!r}\n"
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         ("--dist exponential --c 1 eval --what pdf --at 1,x",
@@ -401,6 +413,11 @@ class TestExitCodes:
          "mode_grid needs at least one step per axis"),
         ("--dist exponential --c 1 modegrid --axis1 q,1,2 --axis2 c,1,2 --steps 1.5,3",
          "--steps expects N1,N2 with integers"),
+        # numpy's own errors at these sizes differ; the cap comes first
+        ("--dist exponential --c 1 modegrid --axis1 q,1,2 --axis2 c,1,2 --steps 1e300,1",
+         "mode_grid allows at most 1000000 cells (steps N1 x N2)"),
+        ("--dist exponential --c 1 modegrid --axis1 q,1,2 --axis2 c,1,2 --steps 1000001,1",
+         "mode_grid allows at most 1000000 cells (steps N1 x N2)"),
         ("catalog show", "catalog show requires a name"),
         ("check --suite roundtrip --tol 0", "--tol must be positive"),
         ("check --suite roundtrip --tol nan", "--tol must be positive"),

@@ -121,6 +121,11 @@ class TestPExponential:
         with pytest.raises(DomainError):
             p_exponential(1.0, -0.1)
 
+    @pytest.mark.parametrize("p", [-1.0, -1e-300, math.nan])
+    def test_bad_p(self, p):
+        with pytest.raises(DomainError, match="p must be a nonnegative real or inf"):
+            p_exponential(p, 0.5)
+
     def test_vectorized(self):
         out = p_exponential(1.0, np.array([0.0, 1.0, 2.0]))
         assert out == pytest.approx([1.0, 0.5, 0.0])
@@ -530,6 +535,20 @@ class TestFarRange:
         d = IFDistribution(IFParams(0.004263593054679348, 1.0, 0.41753005533152676,
                                     4.168562581055472, 0.0))
         assert d.cdf(1.1814940272845318e-18) == pytest.approx(1e-17, rel=1e-12, abs=0)
+
+    # ln pdf at y = 1e-12 and 1e-9 of IFParams(3, 2, 1, 1.3, 0), from mpmath
+    # at 50 and 80 digits (they agree to 25) with
+    # 1 - w = -expm1(-q log1p((p+1)^(1/q) y^b))
+    LOG_PDF_NEAR_X0 = [-186.02272810081192, -137.66844114793696]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "b > 0 next to x0: ln G = logaddexp(ln k, b ln y) rounds to ln k, so "
+        "ln w = -q ln G - ln(p + 1) rounds to +2.2e-16 and ln(1 - w) is NaN "
+        "(ROADMAP item 2)"))
+    def test_log_pdf_next_to_x0(self):
+        d = IFDistribution(IFParams(3.0, 2.0, 1.0, 1.3, 0.0))
+        got = d.log_pdf_offset(np.array([1e-12, 1e-9]))
+        assert got.tolist() == pytest.approx(self.LOG_PDF_NEAR_X0, rel=1e-12)
 
 
 class TestExtremeParameters:

@@ -88,6 +88,19 @@ class TestBeta:
             beta(1.0, 0.0)
 
 
+# B(a, b) at the double a = 2/3 and b = 1e12, from mpmath at 50 and 80
+# digits (they agree to 25)
+BETA_TWO_THIRDS_1E12 = 1.3541179394265524e-08
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ln B as a sum of ln Gamma values near 2.7e13 keeps their absolute "
+    "rounding: beta(2/3, 1e12) reads 1.3598841250546692e-08, 4.3e-3 off "
+    "(ROADMAP item 5)"))
+def test_beta_at_a_large_argument():
+    assert beta(2.0 / 3.0, 1e12) == pytest.approx(BETA_TWO_THIRDS_1E12, rel=1e-12)
+
+
 class TestIntegrate:
     def test_linear(self):
         r = integrate(lambda x: x, 0.0, 1.0, 1e-10)
@@ -163,8 +176,19 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(lambda x: x, 2.0, 1.0, 1e-8)
 
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan),
+                                        (math.nan, math.inf)])
+    def test_nan_bound(self, lo, hi):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            integrate(lambda x: x, lo, hi, 1e-8)
 
-def _gk15_one_interval(f, a, b):
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_bad_tol(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            integrate(lambda x: x, 0.0, 1.0, tol)
+
+
+def _rule_one_interval(f, a, b):
     # the refinement as it was first written: f called on one interval's
     # 15 nodes at a time; the reference for the batched node evaluation
     row = kernels._rule(f, [a], [b])[0]
@@ -180,7 +204,7 @@ def _adapt_one_interval(f, breakpoints, tol, limit):
     stuck_err = live_err = 0.0
     counter = 0
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        v, e, n = _gk15_one_interval(f, a, b)
+        v, e, n = _rule_one_interval(f, a, b)
         evals += n
         counter += 1
         live_err += e
@@ -194,8 +218,8 @@ def _adapt_one_interval(f, breakpoints, tol, limit):
             segments.append((v, -neg_e))
             stuck_err += -neg_e
             continue
-        v1, e1, n1 = _gk15_one_interval(f, a, m)
-        v2, e2, n2 = _gk15_one_interval(f, m, b)
+        v1, e1, n1 = _rule_one_interval(f, a, m)
+        v2, e2, n2 = _rule_one_interval(f, m, b)
         evals += n1 + n2
         counter += 1
         heappush(heap, (-e1, counter, a, m, v1))
@@ -228,7 +252,7 @@ def _rational(x):
     return (x * x - 3.0 * x + 1.0) / (x * x + 0.5)
 
 
-# sha256 of kernels._gk15's (value, error) rows on the seeded meshes of 1 to
+# sha256 of kernels._rule's (value, error) rows on the seeded meshes of 1 to
 # 40 intervals below, recorded with the rule as first written: one BLAS dot
 # product per sum and interval, on OpenBLAS's SkylakeX kernel
 RULE_DIGEST = "c60d5af7a22cffd85cd5fd661cdc9143bcabe2299615e102c94e379b764fb8a3"
@@ -307,7 +331,7 @@ class TestBatchedNodes:
         h = hashlib.sha256()
         for n in range(1, 41):
             edges = (np.cumsum(rng.uniform(1e-3, 2.0, n + 1)) - 2.0).tolist()
-            h.update(np.array(kernels._gk15(_rational, edges)).tobytes())
+            h.update(np.array(kernels._rule(_rational, edges[:-1], edges[1:])).tobytes())
         assert h.hexdigest() == RULE_DIGEST
 
     def test_infinite_rows_keep_an_infinite_error(self):
@@ -319,8 +343,8 @@ class TestBatchedNodes:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = kernels._gk15(f, [0.0, 1.0, 2.0, 3.0, 4.0])
-        assert rows[0] == kernels._gk15(_rational, [0.0, 1.0])[0]
+            rows = kernels._rule(f, [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+        assert rows[0] == kernels._rule(_rational, [0.0], [1.0])[0]
         assert rows[1:3] == [(math.inf, math.inf), (-math.inf, math.inf)]
         assert math.isnan(rows[3][0]) and rows[3][1] == math.inf
 
@@ -416,6 +440,53 @@ class TestFindRoot:
         # |f(root)| bounded by local slope times tolerance
         assert abs(f(r)) <= 10.0 * 2.0 * 1e-12
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
+                                        (0.0, math.nan)])
+    def test_empty_bracket(self, lo, hi):
+        with pytest.raises(DomainError, match="bracket requires lo < hi"):
+            Bracket(lo, hi)
+        with pytest.raises(DomainError, match="bracket requires lo < hi"):
+            find_root(lambda x: x, (lo, hi))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_bad_tol(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            find_root(lambda x: x - 0.3, Bracket(0.0, 1.0), tol)
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_nan_at_a_bracket_end(self, end):
+        f = lambda x: math.nan if x == end else x - 0.3
+        with pytest.raises(NumericFailure, match="NaN at a bracket endpoint"):
+            find_root(f, Bracket(0.0, 1.0))
+
+    @pytest.mark.parametrize("root", [0.0, 1.0])
+    def test_exact_zero_at_an_end(self, root):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - root
+
+        assert find_root(f, Bracket(0.0, 1.0)) == root
+        assert calls == [0.0, 1.0]
+
+    def test_nan_during_refinement(self):
+        f = lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan
+        with pytest.raises(NumericFailure, match="NaN during root refinement"):
+            find_root(f, Bracket(0.0, 1.0))
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 5])
+    def test_max_iter_returns_the_last_iterate(self, max_iter):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x ** 3 - 0.3
+
+        r = find_root(f, Bracket(0.0, 1.0), 1e-15, max_iter=max_iter)
+        assert len(calls) == max_iter + 2 and r == calls[-1]
+        assert 0.0 < r < 1.0 and abs(f(r)) > 1e-6
+
 
 class TestMaximizeScalar:
     def test_parabola(self):
@@ -435,6 +506,11 @@ class TestMaximizeScalar:
     def test_bad_interval(self):
         with pytest.raises(DomainError):
             maximize_scalar(lambda x: x, 1.0, 1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_bad_tol(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            maximize_scalar(lambda x: -x * x, -1.0, 1.0, tol)
 
 
 class TestUniformStream:

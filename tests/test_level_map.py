@@ -5,12 +5,12 @@ Both place x at a level t of w = G^(-q)/(p+1) through the one map
     x - x0 = c (p+1)^(-1/(bq)) (t^(-1/q) - 1)^(1/b)
 
 (the median at t = 1 - 2^(-1/(p+1)), a stationary point of the density at
-a root of the mode equation).  The digests below are the sha256 of every
-result's float64 bytes, recorded from the two separately written forms of
-the map.  Like `tests/data/surface_digests.json` they hold for numpy's
-dispatched SIMD loops (the root finder's residual and the far-range
-fallback of `_power_offset` use numpy), not for its baseline loops.  A
-change that moves any of these bits on purpose re-records them and says
+a root of the mode equation), both through the one method
+`IFDistribution._offset_at`.  The digests below are the sha256 of every
+result's float64 bytes.  Like `tests/data/surface_digests.json` they hold
+for numpy's dispatched SIMD loops (the root finder's residual and the
+far-range fallback of `_offset_at` use numpy), not for its baseline loops.
+A change that moves any of these bits on purpose re-records them and says
 so:
 
     PYTHONPATH=src python tests/test_level_map.py

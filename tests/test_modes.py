@@ -9,6 +9,7 @@ import pytest
 from ifdist import (Bracket, DomainError, IFDistribution, IFParams, NumericFailure,
                     find_root, maximize_scalar, modes)
 from ifdist.modes import (
+    MAX_GRID_CELLS,
     MODE_ASYMPTOTE,
     MODE_AT_BOUNDARY,
     BoundaryKind,
@@ -414,6 +415,15 @@ class TestModeGrid:
             mode_grid(template, ("b", 1.0, 2.0), ("b", 1.0, 2.0), 3)
         with pytest.raises(DomainError):
             mode_grid(template, ("b", 2.0, 1.0), ("q", 0.5, 1.0), 3)
+
+    @pytest.mark.parametrize("steps", [(10 ** 300, 1), (MAX_GRID_CELLS + 1, 1),
+                                       (1, MAX_GRID_CELLS + 1), (1001, 1000)])
+    def test_too_many_cells(self, steps, monkeypatch):
+        # raised before any array is built
+        monkeypatch.setattr(np, "linspace", None)
+        with pytest.raises(DomainError, match=f"at most {MAX_GRID_CELLS} cells"):
+            mode_grid(IFParams(0.0, 1.0, 1.0, 1.0, 0.0),
+                      ("b", 1.0, 2.0), ("q", 0.5, 1.0), steps)
 
     @pytest.mark.parametrize("lo, hi", [(0.0, INF), (-INF, 2.0), (-INF, INF),
                                         (math.nan, 2.0), (1.0, math.nan)])

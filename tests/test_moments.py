@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ifdist import (DomainError, IFDistribution, IFParams, NumericFailure,
-                    UniformStream, integrate)
-from ifdist.kernels import beta
+                    UniformStream, integrate, moments)
+from ifdist.kernels import QuadratureResult, beta
 from ifdist.moments import (
     CLOSED_FORM,
     NUMERIC,
@@ -55,6 +55,11 @@ class TestMomentExists:
             moment_exists(IFParams(0.0, 1.0, 1.0, 5.0, 0.0), 1.5)
         with pytest.raises(DomainError):
             moment_exists(IFParams(0.0, 1.0, 1.0, 5.0, 0.0), 0)
+
+    @pytest.mark.parametrize("r", ["two", None, [1]])
+    def test_non_numeric_order_rejected(self, r):
+        with pytest.raises(DomainError, match="moment order must be a positive integer"):
+            raw_moment(IFParams(0.0, 1.0, 1.0, 5.0, 0.0), r)
 
 
 class TestRawMoment:
@@ -325,6 +330,29 @@ class TestUnitIntervalUnderflow:
             fn(IFParams(1e12, -0.15, 1.0, 0.2, 0.0))
 
 
+class TestUnconvergedQuadrature:
+    """Where every quadrature stops unconverged, the numeric paths raise."""
+
+    @pytest.fixture(autouse=True)
+    def unconverged(self, monkeypatch):
+        monkeypatch.setattr(moments, "integrate",
+                            lambda *args, **kw: QuadratureResult(1.0, 1.0, False, 15))
+
+    @pytest.mark.parametrize("pa", [IFParams(0.0, 2.0, 1.0, 3.0, 0.0),
+                                    IFParams(INF, 1.5, 1.0, 2.0, 0.0),
+                                    IFParams(2.0, 1.0, 1.0, 3.0, 0.0)])
+    def test_subfamily_quadrature_raises(self, pa):
+        # the subfamilies have no [0, 1] fallback: their closed forms are
+        # checked against this quadrature
+        with pytest.raises(NumericFailure, match="moment quadrature did not converge"):
+            _numeric_moment(pa, 1)
+
+    @pytest.mark.parametrize("fn", [mean, variance, lambda pa: raw_moment(pa, 2)])
+    def test_unresolved_unit_form_raises(self, fn):
+        with pytest.raises(NumericFailure, match=r"\[0, 1\] moment form did not resolve"):
+            fn(IFParams(2.0, 2.0, 1.0, 3.0, 0.0))
+
+
 class TestVariance:
     def test_exponential(self):
         assert variance(IFParams(INF, -1.0, 1.0, 1.0, 0.0)).value == pytest.approx(
@@ -398,7 +426,7 @@ class TestInvariants:
         assert inc[-1] / inc[-2] >= 0.999
 
     def test_numeric_failure_is_not_nonexistent(self):
-        res = MomentResult.non_existent("requires r < bq")
+        res = MomentResult(constraint="requires r < bq")
         assert not res.exists
         assert not isinstance(res, NumericFailure)
 
@@ -619,3 +647,17 @@ OPEN_DEFECT_MEANS = [
 def test_open_defect_mean(pa, want):
     res = mean(pa)
     assert res.value == pytest.approx(want, rel=1e-12)
+
+
+# the IF3 mean c m^(1 - 1/q) (B(1 - 1/q, m) - 1/m) at IFParams(1e12, 1, 1, 2,
+# 0), m = 1e12 + 1, from mpmath at 50 and 80 digits (they agree to 25)
+IF3_MEAN_AT_1E12 = 1.7724528509057376
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "beta(1/2, 1e12 + 1) is 9.6e-4 off, so the IF3 mean reads 1.77415 with an "
+    "error bound of 0.12 (ROADMAP item 5)"))
+def test_if3_mean_at_large_p():
+    res = mean(IFParams(1e12, 1.0, 1.0, 2.0, 0.0))
+    assert res.value == pytest.approx(IF3_MEAN_AT_1E12, rel=1e-12)
+    assert res.abs_error <= 1e-12 * IF3_MEAN_AT_1E12
