@@ -513,8 +513,6 @@ class IFDistribution:
         below the float spacing at x0 (a real boundary-layer event for b < 0
         with small |b| q) are represented by the smallest double above x0.
         """
-        if n < 0:
-            raise DomainError(f"n must be nonnegative, got {n!r}")
-        us = UniformStream(seed).draws(int(n))
+        us = UniformStream(seed).draws(n)
         xs = np.asarray(self.quantile(us), dtype=float)
         return np.maximum(xs, np.nextafter(self.x0, math.inf))

@@ -97,14 +97,19 @@ class QuadratureResult:
     evaluations: int
 
 
+# The one interval rule of `find_root` and `maximize_scalar`: lo < hi with a
+# finite width hi - lo.  The one comparison refuses NaN and infinite ends,
+# and ends so far apart that their difference overflows, where the
+# golden-section points would leave the interval.
 @dataclass(frozen=True)
 class Bracket:
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
+        if not (0.0 < self.hi - self.lo < math.inf):
+            raise DomainError(f"bracket requires lo < hi with a finite width "
+                              f"hi - lo, got [{self.lo}, {self.hi}]")
 
 
 # Kronrod-15 abscissae on [-1, 1] (positive half; nodes are symmetric) with
@@ -280,7 +285,7 @@ def _seed_mesh(a: float, b: float) -> list[float]:
 
 def integrate(f, lo: float, hi: float, tol: float = 1e-8,
               limit: int = 20000) -> QuadratureResult:
-    """Adaptive quadrature of f over [lo, hi], hi may be math.inf.
+    """Adaptive quadrature of f over [lo, hi]: lo finite, hi may be math.inf.
 
     Semi-infinite ranges are mapped with x = lo + expm1(u) so that power-law
     tails become exponentially decaying integrands in u.  An interval is
@@ -301,10 +306,9 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-8,
     """
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol!r}")
-    if math.isnan(lo) or math.isnan(hi):
-        raise DomainError("integration bounds must not be NaN")
-    if not lo < hi:
-        raise DomainError(f"integration requires lo < hi, got [{lo}, {hi}]")
+    if not -math.inf < lo < hi:
+        raise DomainError(f"integration requires -inf < lo < hi (bounds must "
+                          f"not be NaN), got [{lo}, {hi}]")
 
     extra_err = 0.0
     extra_evals = 0
@@ -341,14 +345,15 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-8,
 # bracketed root finding (Brent: inverse quadratic / secant with bisection)
 # ---------------------------------------------------------------------------
 
-def find_root(f, bracket, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Root of f inside a sign-changing bracket, to within tol.
+# Brent's steps per call before it raises: the mode equation's roots take at
+# most 8 calls of f, and bisection alone takes [0, 1] to 1e-14 in 47 steps;
+# a bracket spanning hundreds of decades may need more
+_ROOT_STEPS = 200
 
-    Convergence is guaranteed: every step either interpolates or falls back
-    to bisection, so the enclosing interval shrinks to width <= tol.
-    """
-    if not isinstance(bracket, Bracket):
-        bracket = Bracket(*bracket)
+
+def find_root(f, bracket: Bracket, tol: float = 1e-10) -> float:
+    """Root of f inside a sign-changing bracket, to within tol, by Brent's
+    method; NumericFailure, not an unconverged iterate, after `_ROOT_STEPS`."""
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol!r}")
     a, b = bracket.lo, bracket.hi
@@ -364,7 +369,7 @@ def find_root(f, bracket, tol: float = 1e-10, max_iter: int = 200) -> float:
 
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_ROOT_STEPS):
         if math.copysign(1.0, fb) == math.copysign(1.0, fc):
             c, fc = a, fa
             d = e = b - a
@@ -400,7 +405,8 @@ def find_root(f, bracket, tol: float = 1e-10, max_iter: int = 200) -> float:
         fb = float(f(b))
         if math.isnan(fb):
             raise NumericFailure("function returned NaN during root refinement")
-    return b
+    raise NumericFailure(f"root not resolved to tol={tol!r} within {_ROOT_STEPS} "
+                         f"steps on [{bracket.lo}, {bracket.hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -410,22 +416,22 @@ def find_root(f, bracket, tol: float = 1e-10, max_iter: int = 200) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-10,
-                    max_iter: int = 500) -> tuple[float, float]:
-    """(argmax, max) of f on [lo, hi] by golden-section shrinking.
+def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+    """(argmax, max) of f on the `Bracket` [lo, hi] by golden-section shrinking.
 
     Exact for unimodal f; best effort otherwise.
     """
-    if not (lo < hi):
-        raise DomainError(f"maximize_scalar requires lo < hi, got [{lo}, {hi}]")
+    bracket = Bracket(float(lo), float(hi))
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol!r}")
-    a, b = float(lo), float(hi)
+    a, b = bracket.lo, bracket.hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = float(f(c)), float(f(d))
-    it = 0
-    while (b - a) > tol and it < max_iter:
+    # every step moves one end strictly inward, so the loop ends: at width
+    # tol, or where the doubles are spaced so widely that the inner points
+    # no longer lie strictly inside the interval in order
+    while b - a > tol and a < c < d < b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -434,7 +440,6 @@ def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-10,
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = float(f(d))
-        it += 1
     x = 0.5 * (a + b)
     return x, float(f(x))
 
@@ -471,9 +476,13 @@ class UniformStream:
         self._index = 0
 
     def draws(self, n: int) -> np.ndarray:
-        """The next n values as an array (advances the stream)."""
-        if n < 0:
+        """The next n values as an array (advances the stream); n is a
+        nonnegative whole number, such as 3 or 1e6, and not a bool."""
+        if not n >= 0:
             raise DomainError(f"n must be nonnegative, got {n!r}")
+        if isinstance(n, bool) or n % 1 != 0:
+            raise DomainError(f"n must be a whole number, got {n!r}")
+        n = int(n)
         idx = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
         self._index += n
         states = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)

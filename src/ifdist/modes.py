@@ -43,6 +43,8 @@ MODE_ASYMPTOTE = -2.0
 
 _GRID_POINTS = 1000
 _GRID_EPS = 1e-12
+# the absolute tolerance in t of each stationary root
+_ROOT_TOL = 1e-14
 
 # the most cells mode_grid solves: at about 0.12 ms a cell (a 21 x 21 grid
 # of the benchmark's `cli` workload) they take about 2 minutes
@@ -119,7 +121,7 @@ _T_GRID = _T_GRID[np.append(True, _T_GRID[1:] != _T_GRID[:-1])]
 _T_GRID.flags.writeable = False
 
 
-def solve_mode_equation(params: IFParams, tol: float = 1e-14) -> list[float]:
+def solve_mode_equation(params: IFParams) -> list[float]:
     """The roots t in (0, 1) of the stationarity equation (finite p), sorted:
     one per sign change of the residual on the t grid, and its exact zeros."""
     IFDistribution(params)  # validate
@@ -132,7 +134,7 @@ def solve_mode_equation(params: IFParams, tol: float = 1e-14) -> list[float]:
     # brackets by sign: the product of values overflows at p near 1e300
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
         roots.append(find_root(residual, Bracket(float(ts[i]), float(ts[i + 1])),
-                               tol=tol))
+                               tol=_ROOT_TOL))
     return sorted(roots)
 
 

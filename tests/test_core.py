@@ -379,6 +379,11 @@ class TestSample:
     def test_empty(self):
         assert IFDistribution(EXPONENTIAL).sample(0, 1).shape == (0,)
 
+    def test_fractional_n_raises(self):
+        # a fractional n would be cut to 2 draws without a word
+        with pytest.raises(DomainError, match="n must be a whole number, got 2.5"):
+            IFDistribution(EXPONENTIAL).sample(2.5, 1)
+
     def test_deterministic(self):
         d = IFDistribution(FIG_BASE)
         assert np.array_equal(d.sample(500, 77), d.sample(500, 77))

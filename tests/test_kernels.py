@@ -182,6 +182,20 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="must not be NaN"):
             integrate(lambda x: x, lo, hi, 1e-8)
 
+    @pytest.mark.parametrize("hi", [0.0, math.inf])
+    def test_infinite_lower_bound_is_refused_before_any_call(self, hi):
+        # only hi may be infinite: lo = -inf would give the seed mesh NaN
+        # nodes and fail as "integrand returned NaN on [0.0, nan]"
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.exp(x)
+
+        with pytest.raises(DomainError, match=re.escape("-inf < lo < hi")):
+            integrate(f, -math.inf, hi)
+        assert calls == []
+
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
     def test_bad_tol(self, tol):
         with pytest.raises(DomainError, match="tol must be positive"):
@@ -441,12 +455,19 @@ class TestFindRoot:
         assert abs(f(r)) <= 10.0 * 2.0 * 1e-12
 
     @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
-                                        (0.0, math.nan)])
+                                        (0.0, math.nan), (0.0, math.inf),
+                                        (-math.inf, 5.0), (-math.inf, math.inf),
+                                        (-1e308, 1e308)])
     def test_empty_bracket(self, lo, hi):
         with pytest.raises(DomainError, match="bracket requires lo < hi"):
             Bracket(lo, hi)
+
+    @pytest.mark.parametrize("f, lo, hi", [(lambda x: x - 0.3, 0.0, math.inf),
+                                           (math.atan, -math.inf, 5.0)])
+    def test_infinite_end_raises(self, f, lo, hi):
+        # from an infinite end Brent's steps would end on inf and -inf
         with pytest.raises(DomainError, match="bracket requires lo < hi"):
-            find_root(lambda x: x, (lo, hi))
+            find_root(f, Bracket(lo, hi))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_bad_tol(self, tol):
@@ -475,17 +496,18 @@ class TestFindRoot:
         with pytest.raises(NumericFailure, match="NaN during root refinement"):
             find_root(f, Bracket(0.0, 1.0))
 
-    @pytest.mark.parametrize("max_iter", [1, 3, 5])
-    def test_max_iter_returns_the_last_iterate(self, max_iter):
+    def test_step_cap_raises(self, monkeypatch):
+        # five steps leave x^3 - 0.3 at 0.66943 (f = -5.6e-6), short of tol
         calls = []
 
         def f(x):
             calls.append(x)
             return x ** 3 - 0.3
 
-        r = find_root(f, Bracket(0.0, 1.0), 1e-15, max_iter=max_iter)
-        assert len(calls) == max_iter + 2 and r == calls[-1]
-        assert 0.0 < r < 1.0 and abs(f(r)) > 1e-6
+        monkeypatch.setattr(kernels, "_ROOT_STEPS", 5)
+        with pytest.raises(NumericFailure, match="within 5 steps on \\[0.0, 1.0\\]"):
+            find_root(f, Bracket(0.0, 1.0), 1e-15)
+        assert len(calls) == 5 + 2
 
 
 class TestMaximizeScalar:
@@ -506,6 +528,28 @@ class TestMaximizeScalar:
     def test_bad_interval(self):
         with pytest.raises(DomainError):
             maximize_scalar(lambda x: x, 1.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (-1.0, math.inf),
+                                        (-1e308, 1e308)])
+    def test_infinite_or_overflowing_bounds(self, lo, hi):
+        # an infinite end makes the golden-section points NaN, and ends
+        # 2e308 apart overflow them
+        with pytest.raises(DomainError, match="bracket requires lo < hi"):
+            maximize_scalar(lambda x: -x * x, lo, hi)
+
+    def test_stops_where_the_inner_points_collapse(self):
+        # tol 1e-12 lies below the spacing of doubles near 1e6 (1.2e-10):
+        # the search stops once its inner points leave strict order, after
+        # about 50 steps, not at some step budget
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -(x - 1e6) ** 2
+
+        x, v = maximize_scalar(f, 1e6 - 1.0, 1e6 + 1.0, tol=1e-12)
+        assert abs(x - 1e6) <= 4 * math.ulp(1e6) and v == f(x)
+        assert len(calls) < 100
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_bad_tol(self, tol):
@@ -545,5 +589,18 @@ class TestUniformStream:
         assert not np.array_equal(a, b)
 
     def test_negative_n(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n must be nonnegative, got -1"):
             UniformStream(1).draws(-1)
+
+    @pytest.mark.parametrize("n", [2.5, True, math.inf, math.nan])
+    def test_bad_n_leaves_the_stream_unchanged(self, n):
+        # a fractional n would advance the index by 2.5 and repeat a draw
+        s = UniformStream(7)
+        head = s.draws(1)
+        with pytest.raises(DomainError, match="n must be"):
+            s.draws(n)
+        assert np.array_equal(np.concatenate([head, s.draws(2)]),
+                              UniformStream(7).draws(3))
+
+    def test_integral_float_n(self):
+        assert np.array_equal(UniformStream(7).draws(1e3), UniformStream(7).draws(1000))
