@@ -104,7 +104,7 @@ class CatalogEntry:
         return len(self.free_parameters)
 
     def check(self, **args) -> list[str]:
-        """Constraint violations of args, in parameter order."""
+        """The constraints args break, as messages, in parameter order."""
         out = []
         for pname, text in self.free_parameters:
             test, message = _CONSTRAINT_FORMS[text.replace(pname, "{}", 1)]
@@ -114,17 +114,21 @@ class CatalogEntry:
 
     def to_if(self, **args) -> IFParams:
         """The family point of args, read from map_text."""
-        return IFParams(*map(float, _evaluate(self.map_text, args)))
+        return IFParams(*_evaluate(self.map_text, args))
 
     def matches(self, pa: IFParams) -> bool:
         """Whether the arguments read back off pa are finite, pass check()
         and map onto pa exactly, except in p and b, which m and gamma are
-        read from: m - 1 and 1/gamma do not round-trip in floating point."""
+        read from: m - 1 and 1/gamma do not round-trip in floating point,
+        and a subnormal gamma maps back to b = inf, outside the family."""
         args = _read_back([pname for pname, _ in self.free_parameters], pa)
         if self.check(**args) or not all(map(math.isfinite, args.values())):
             return False
         read = {_READ_BACK[pname][0] for pname in args if pname in _READ_BACK}
-        image = self.to_if(**args)
+        try:
+            image = self.to_if(**args)
+        except DomainError:
+            return False
         return all(getattr(image, f) == getattr(pa, f)
                    for f in _PARAM_NAMES if f not in read)
 
@@ -410,12 +414,10 @@ def _checked(e: CatalogEntry, args: dict) -> tuple[dict[str, float], IFParams]:
     problems = e.check(**clean)
     if problems:
         raise DomainError(f"{e.name}: " + "; ".join(problems))
-    pa = e.to_if(**clean)
-    problems = pa.violations()
-    if problems:
-        raise DomainError(f"{e.name} maps {clean} outside the family: "
-                          + "; ".join(problems))
-    return clean, pa
+    try:
+        return clean, e.to_if(**clean)
+    except DomainError as exc:
+        raise DomainError(f"{e.name} maps {clean} outside the family: {exc}") from None
 
 
 def named(name: str, **args) -> IFParams:
@@ -427,9 +429,6 @@ def resolve(params: IFParams) -> list[str]:
     """Every catalog name whose constraint region contains the valid point
     params exactly, most specific (fewest free parameters) first; concrete
     names ahead of the if1/if2/if3 subfamily heads on ties."""
-    problems = params.violations()
-    if problems:
-        raise DomainError("; ".join(problems))
     hits = [e for e in CATALOG.values() if e.matches(params)]
     hits.sort(key=lambda e: (e.arity, e.name.startswith("if"), e.name))
     return [e.name for e in hits]

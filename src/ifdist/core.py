@@ -86,7 +86,9 @@ def _coerce(x):
 
 @dataclass(frozen=True)
 class IFParams:
-    """The five parameters. p may be math.inf; all others are finite reals.
+    """The five parameters as Python floats. p may be math.inf; all others
+    are finite.  Construction (replace() too) raises DomainError naming
+    every violation of the rules below.
 
     p >= 0 selects the family member (0 = power law, inf = cut-off law),
     b != 0 shapes skewness (negative b gives the inverse family),
@@ -99,24 +101,28 @@ class IFParams:
     q: float
     x0: float
 
-    def violations(self) -> list[str]:
+    def __post_init__(self):
         vals = (self.p, self.b, self.c, self.q, self.x0)
         if not all(map(_is_real, vals)):
-            return [f"{name} must be a real number, got {v!r}"
-                    for name, v in zip(_PARAM_NAMES, vals)
-                    if not _is_real(v)]
-        out = []
-        if math.isnan(self.p) or self.p < 0:
+            raise DomainError("; ".join(
+                f"{name} must be a real number, got {v!r}"
+                for name, v in zip(_PARAM_NAMES, vals) if not _is_real(v)))
+        p, b, c, q, x0 = vals = tuple(map(float, vals))
+        out = []  # NaN fails every comparison
+        if not p >= 0:
             out.append("p must be a nonnegative real or inf")
-        if math.isnan(self.b) or math.isinf(self.b) or self.b == 0:
+        if not 0 < abs(b) < math.inf:
             out.append("b must be nonzero and finite")
-        if math.isnan(self.c) or math.isinf(self.c) or not self.c > 0:
+        if not 0 < c < math.inf:
             out.append("c must be positive and finite")
-        if math.isnan(self.q) or math.isinf(self.q) or not self.q > 0:
+        if not 0 < q < math.inf:
             out.append("q must be positive and finite")
-        if math.isnan(self.x0) or math.isinf(self.x0) or self.x0 < 0:
+        if not 0 <= x0 < math.inf:
             out.append("x0 must be nonnegative and finite")
-        return out
+        if out:
+            raise DomainError("; ".join(out))
+        for name, v in zip(_PARAM_NAMES, vals):
+            object.__setattr__(self, name, v)
 
 
 # the five names in parameter order: the one list the CLI flags, the mode
@@ -147,8 +153,9 @@ def p_exponential(p: float, x):
 
     e_0 is identically 1 on [0, 1]; e_inf(x) = exp(-x) on [0, inf).
     """
-    if math.isnan(p) or p < 0:
+    if not (_is_real(p) and p >= 0):  # NaN too
         raise DomainError("p must be a nonnegative real or inf")
+    p = float(p)
     xs, unwrap = _coerce(x)
     if np.isnan(xs).any() or (xs < 0).any():
         raise DomainError("p_exponential requires x >= 0")
@@ -191,15 +198,9 @@ class IFDistribution:
     """
 
     def __init__(self, params: IFParams):
-        problems = params.violations()
-        if problems:
-            raise DomainError("; ".join(problems))
         self.params = params
-        self.p = float(params.p)
-        self.b = float(params.b)
-        self.c = float(params.c)
-        self.q = float(params.q)
-        self.x0 = float(params.x0)
+        self.p, self.b, self.c = params.p, params.b, params.c
+        self.q, self.x0 = params.q, params.x0
         self._inf_p = math.isinf(self.p)
         coef = abs(self.b) * self.q / self.c
         # the product leaves the normal doubles for extreme parameters

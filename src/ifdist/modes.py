@@ -124,7 +124,6 @@ _T_GRID.flags.writeable = False
 def solve_mode_equation(params: IFParams) -> list[float]:
     """The roots t in (0, 1) of the stationarity equation (finite p), sorted:
     one per sign change of the residual on the t grid, and its exact zeros."""
-    IFDistribution(params)  # validate
     if math.isinf(params.p):
         raise DomainError("the stationarity equation in t requires finite p")
     residual = _residual_factory(params)
@@ -220,7 +219,7 @@ def mode_grid(template: IFParams, axis1: tuple[str, float, float],
     out = np.empty((n1, n2))
     for i, v1 in enumerate(vals1):
         for j, v2 in enumerate(vals2):
-            res = mode(replace(template, **{name1: float(v1), name2: float(v2)}))
+            res = mode(replace(template, **{name1: v1, name2: v2}))
             if res.kind is ModeKind.BOUNDARY:
                 out[i, j] = MODE_AT_BOUNDARY
             elif res.kind is ModeKind.ASYMPTOTE:

@@ -262,11 +262,10 @@ def _binomial(params: IFParams, r: int) -> tuple[float, float]:
 
 
 def _moment(params: IFParams, r: int, body) -> MomentResult:
-    """The one way in and out of raw_moment, mean and variance: validate,
-    answer non_existent where the r-th moment does not exist, and raise
+    """The one way in and out of raw_moment, mean and variance: answer
+    non_existent where the r-th moment does not exist, and raise
     NumericFailure where body()'s value leaves the doubles or is not above
     its abs_error (every raw moment and variance is positive)."""
-    IFDistribution(params)  # validate
     ok, condition = moment_exists(params, r)
     if not ok:
         return MomentResult(constraint=condition)

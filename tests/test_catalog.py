@@ -176,6 +176,14 @@ class TestResolve:
         assert "pareto_iv" not in resolve(IFParams(0.0, 1e-310, 1.0, 2.0, 0.0))
         assert "generalized_lomax" not in resolve(IFParams(INF, 1.0, 1.0, 2.0, 0.0))
 
+    def test_read_back_outside_the_family_is_no_match(self):
+        # gamma = 1/b is subnormal here and maps back to b = inf, which
+        # named("pareto_iv", gamma=5.56e-309, ...) refuses as well
+        assert resolve(IFParams(0.0, 1.7976931348623157e308, 1.0, 1.0, 0.0)) == [
+            "burr_xii", "fisk", "tadikamalla_burr_xii", "if1"]
+        with pytest.raises(DomainError, match="maps .* outside the family"):
+            named("pareto_iv", gamma=5.56e-309, c=1, q=1, x0=0)
+
     def test_invalid_point_rejected(self):
         # q = 0 used to reach the Stoppa predicate's 1/q
         with pytest.raises(DomainError, match="q must be positive"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 
@@ -15,7 +16,10 @@ from ifdist import (
     find_root,
     g_big,
     integrate,
+    mean,
+    mode,
     p_exponential,
+    variance,
 )
 from ifdist.modes import boundary_behavior, mode_x_from_t
 
@@ -55,18 +59,18 @@ class TestValidation:
     @pytest.mark.parametrize(
         "params,msg",
         [
-            (IFParams(-0.5, 1.0, 1.0, 1.0, 0.0), "p must be"),
-            (IFParams(1.0, 1.0, 0.0, 1.0, 0.0), "c must be"),
-            (IFParams(1.0, 1.0, -2.0, 1.0, 0.0), "c must be"),
-            (IFParams(1.0, 1.0, 1.0, 0.0, 0.0), "q must be"),
-            (IFParams(1.0, 1.0, 1.0, 1.0, -0.1), "x0 must be"),
-            (IFParams(math.nan, 1.0, 1.0, 1.0, 0.0), "p must be"),
-            (IFParams(1.0, math.nan, 1.0, 1.0, 0.0), "b must be"),
+            ((-0.5, 1.0, 1.0, 1.0, 0.0), "p must be"),
+            ((1.0, 1.0, 0.0, 1.0, 0.0), "c must be"),
+            ((1.0, 1.0, -2.0, 1.0, 0.0), "c must be"),
+            ((1.0, 1.0, 1.0, 0.0, 0.0), "q must be"),
+            ((1.0, 1.0, 1.0, 1.0, -0.1), "x0 must be"),
+            ((math.nan, 1.0, 1.0, 1.0, 0.0), "p must be"),
+            ((1.0, math.nan, 1.0, 1.0, 0.0), "b must be"),
         ],
     )
     def test_rejections_by_name(self, params, msg):
         with pytest.raises(DomainError, match=msg):
-            IFDistribution(params)
+            IFParams(*params)
 
     @pytest.mark.parametrize("bad", [True, False, "2", None, 1j])
     def test_non_real_values_rejected(self, bad):
@@ -84,6 +88,37 @@ class TestValidation:
         text = str(err.value)
         for name in ("p must", "b must", "c must", "q must", "x0 must"):
             assert name in text
+
+    def test_invalid_point_cannot_be_built(self):
+        # no function sees an invalid point: construction and replace() raise
+        with pytest.raises(DomainError, match="p must be a nonnegative real or inf"):
+            IFParams(-5, -1, 1, 1, 0)
+        with pytest.raises(DomainError, match="b must be nonzero and finite"):
+            dataclasses.replace(PARETO_I, b=0.0)
+        with pytest.raises(DomainError, match="p must be a nonnegative real or inf"):
+            IFParams(math.nan, 0, -1, 1, 0)
+
+    def test_fields_stored_as_python_floats(self):
+        pa = IFParams(1, np.int64(2), np.float32(1.5), np.float64(2.0), 0)
+        assert pa == IFParams(1.0, 2.0, 1.5, 2.0, 0.0)
+        assert all(type(getattr(pa, f)) is float for f in "p b c q x0".split())
+        assert repr(IFParams(1, 2, 1, 2, 0)) == "IFParams(p=1.0, b=2.0, c=1.0, q=2.0, x0=0.0)"
+        assert type(dataclasses.replace(pa, q=np.float32(3.0)).q) is float
+
+
+class TestSinglePrecisionFields:
+    # float32 fields used to reach the closed forms and the mode residual as
+    # float32, 6.7e-8 off relative against an abs_error of 1.8e-14
+    F = np.float32
+
+    @pytest.mark.parametrize("single", [(0.0, F(1.7), F(1.3), F(2.2), 0.0),
+                                        (2.5, F(1.7), 1.3, 2.2, 0.1)])
+    def test_results_equal_the_double_point(self, single):
+        pa = IFParams(*single)
+        double = IFParams(*map(float, single))
+        for fn, field in ((mean, "value"), (variance, "value"), (mode, "x")):
+            got, want = getattr(fn(pa), field), getattr(fn(double), field)
+            assert type(got) is float and got.hex() == want.hex(), fn.__name__
 
 
 class TestClassify:
@@ -121,7 +156,7 @@ class TestPExponential:
         with pytest.raises(DomainError):
             p_exponential(1.0, -0.1)
 
-    @pytest.mark.parametrize("p", [-1.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("p", [-1.0, -1e-300, math.nan, "1", None, 1j, True])
     def test_bad_p(self, p):
         with pytest.raises(DomainError, match="p must be a nonnegative real or inf"):
             p_exponential(p, 0.5)

@@ -416,6 +416,11 @@ class TestModeGrid:
         with pytest.raises(DomainError):
             mode_grid(template, ("b", 2.0, 1.0), ("q", 0.5, 1.0), 3)
 
+    def test_axis_across_b_zero(self):
+        # each cell is built by replace(), which refuses b = 0
+        with pytest.raises(DomainError, match="b must be nonzero and finite"):
+            mode_grid(IFParams(0.0, 1.0, 1.0, 1.0, 0.0), ("b", -1.0, 1.0), ("q", 0.5, 1.0), 3)
+
     @pytest.mark.parametrize("steps", [(10 ** 300, 1), (MAX_GRID_CELLS + 1, 1),
                                        (1, MAX_GRID_CELLS + 1), (1001, 1000)])
     def test_too_many_cells(self, steps, monkeypatch):
