@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import _PARAM_NAMES, IFParams
+from .core import _PARAM_NAMES, IFParams, _real
 from .errors import DomainError, NumericFailure
 from .kernels import beta, ln_gamma
 from .moments import CLOSED_FORM, MomentResult, mean, moment_exists
@@ -410,8 +410,9 @@ def _checked(e: CatalogEntry, args: dict) -> tuple[dict[str, float], IFParams]:
     if bits:
         raise DomainError(f"{e.name} takes ({', '.join(expected)}): "
                           + "; ".join(bits))
-    clean = {k: float(v) for k, v in args.items()}
-    problems = e.check(**clean)
+    clean = {k: _real(v) for k, v in args.items()}
+    problems = ([f"{k} must be a real number, got {args[k]!r}"
+                 for k, v in clean.items() if v is None] or e.check(**clean))
     if problems:
         raise DomainError(f"{e.name}: " + "; ".join(problems))
     try:

@@ -39,11 +39,17 @@ _LN2 = math.log(2.0)
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
-def _is_real(v) -> bool:
+def _real(v) -> float | None:
+    """v as a Python float, or None for a bool, for a value that is not a
+    numbers.Real and for an int beyond the doubles; inf and NaN pass."""
     # bools are ints to Python; testing float and int first spares the slow
     # ABC check for the common cases
-    return not isinstance(v, bool) and (isinstance(v, (float, int))
-                                        or isinstance(v, numbers.Real))
+    if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return None
 
 
 def _first_float(out: np.ndarray) -> float:
@@ -103,11 +109,11 @@ class IFParams:
 
     def __post_init__(self):
         vals = (self.p, self.b, self.c, self.q, self.x0)
-        if not all(map(_is_real, vals)):
+        p, b, c, q, x0 = reals = tuple(map(_real, vals))
+        if None in reals:
             raise DomainError("; ".join(
                 f"{name} must be a real number, got {v!r}"
-                for name, v in zip(_PARAM_NAMES, vals) if not _is_real(v)))
-        p, b, c, q, x0 = vals = tuple(map(float, vals))
+                for name, v, r in zip(_PARAM_NAMES, vals, reals) if r is None))
         out = []  # NaN fails every comparison
         if not p >= 0:
             out.append("p must be a nonnegative real or inf")
@@ -121,7 +127,7 @@ class IFParams:
             out.append("x0 must be nonnegative and finite")
         if out:
             raise DomainError("; ".join(out))
-        for name, v in zip(_PARAM_NAMES, vals):
+        for name, v in zip(_PARAM_NAMES, reals):
             object.__setattr__(self, name, v)
 
 
@@ -153,9 +159,9 @@ def p_exponential(p: float, x):
 
     e_0 is identically 1 on [0, 1]; e_inf(x) = exp(-x) on [0, inf).
     """
-    if not (_is_real(p) and p >= 0):  # NaN too
+    p = _real(p)
+    if p is None or not p >= 0:  # NaN too
         raise DomainError("p must be a nonnegative real or inf")
-    p = float(p)
     xs, unwrap = _coerce(x)
     if np.isnan(xs).any() or (xs < 0).any():
         raise DomainError("p_exponential requires x >= 0")
@@ -215,10 +221,6 @@ class IFDistribution:
         pa = self.params
         return (f"IFDistribution(p={pa.p!r}, b={pa.b!r}, c={pa.c!r}, "
                 f"q={pa.q!r}, x0={pa.x0!r})")
-
-    @property
-    def subfamily(self) -> Subfamily:
-        return classify(self.params)
 
     # -- boundary behavior ---------------------------------------------------
 

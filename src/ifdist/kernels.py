@@ -9,6 +9,7 @@ oracles in the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from heapq import heappush, heappop
 from typing import Callable, Sequence
@@ -464,33 +465,36 @@ def _splitmix_array(states: np.ndarray) -> np.ndarray:
     return z
 
 
+# int(v) for a real v, not a bool, with no fractional part, else DomainError;
+# an integral v is never rounded through a float
+def _whole(v, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
+            isinstance(v, numbers.Integral) or float(v).is_integer()):
+        raise DomainError(f"{what} must be a whole number, got {v!r}")
+    return int(v)
+
+
 class UniformStream:
     """Deterministic stream of doubles strictly inside (0, 1).
 
-    splitmix64 underneath; draw i depends only on (seed, i), so bulk draws
-    and one-at-a-time draws produce the identical sequence.
+    splitmix64 from a whole-number seed mod 2^64; draw i depends only on
+    (seed, i), so bulk and one-at-a-time draws give the identical sequence.
     """
 
     def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK64
+        self._seed = _whole(seed, "seed") & _MASK64
         self._index = 0
 
     def draws(self, n: int) -> np.ndarray:
         """The next n values as an array (advances the stream); n is a
-        nonnegative whole number, such as 3 or 1e6, and not a bool."""
-        if not n >= 0:
+        nonnegative whole number (`_whole`), such as 3 or 1e6."""
+        if (count := _whole(n, "n")) < 0:
             raise DomainError(f"n must be nonnegative, got {n!r}")
-        if isinstance(n, bool) or n % 1 != 0:
-            raise DomainError(f"n must be a whole number, got {n!r}")
-        n = int(n)
-        idx = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
-        self._index += n
+        idx = np.arange(self._index + 1, self._index + count + 1, dtype=np.uint64)
+        self._index += count
         states = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)
         bits53 = _splitmix_array(states) >> np.uint64(11)
         return (bits53.astype(np.float64) + 0.5) * 2.0 ** -53
 
     def __next__(self) -> float:
         return float(self.draws(1)[0])
-
-    def __iter__(self):
-        return self

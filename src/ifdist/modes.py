@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import _PARAM_NAMES, IFDistribution, IFParams, Subfamily, classify
 from .errors import DomainError, NumericFailure
-from .kernels import Bracket, find_root
+from .kernels import Bracket, _whole, find_root
 
 __all__ = [
     "BoundaryKind",
@@ -187,18 +187,18 @@ def mode(params: IFParams) -> ModeResult:
 
 def mode_grid(template: IFParams, axis1: tuple[str, float, float],
               axis2: tuple[str, float, float],
-              steps: int | tuple[int, int]) -> np.ndarray:
+              steps: tuple[int, int]) -> np.ndarray:
     """Matrix of mode locations over a 2-parameter sweep between finite bounds.
 
-    Row i, column j holds the mode x for axis1 value i and axis2 value j.
-    Boundary modes are encoded as -1.0 and asymptotes at x0 as -2.0 (real
-    modes are >= x0 >= 0, so the codes are unambiguous).
+    steps = (N1, N2); row i, column j holds the mode x for axis1 value i
+    and axis2 value j.  Boundary modes are encoded as -1.0 and asymptotes
+    at x0 as -2.0 (real modes are >= x0 >= 0, so the codes are unambiguous).
 
     A grid of more than MAX_GRID_CELLS cells raises DomainError before any
     array is built: one that large would run for minutes or more, and numpy
     fails on huge sizes with a different error at each size.
     """
-    n1, n2 = (steps, steps) if isinstance(steps, int) else steps
+    n1, n2 = (_whole(n, "steps") for n in steps)
     if n1 < 1 or n2 < 1:
         raise DomainError("mode_grid needs at least one step per axis")
     if n1 * n2 > MAX_GRID_CELLS:

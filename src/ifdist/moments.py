@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IFDistribution, IFParams, Subfamily, _exp, classify
+from .core import IFDistribution, IFParams, Subfamily, _exp, _real, classify
 from .errors import DomainError, NumericFailure
 from .kernels import beta, integrate, ln_gamma
 
@@ -76,11 +76,8 @@ class MomentResult:
 
 
 def _check_order(r) -> int:
-    try:
-        rr = float(r)
-    except (TypeError, ValueError):
-        raise DomainError(f"moment order must be a positive integer, got {r!r}")
-    if not rr.is_integer() or rr < 1:
+    rr = _real(r)
+    if rr is None or not rr.is_integer() or rr < 1:
         raise DomainError(f"moment order must be a positive integer, got {r!r}")
     return int(rr)
 

@@ -5,6 +5,7 @@ import re
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ifdist import DomainError, IFParams, NumericFailure, UniformStream
@@ -122,6 +123,21 @@ class TestNamed:
         gumbel = named("gumbel_ii", c=2, q=3)
         assert named("generalized_lomax", m=INF, c=2, q=3) == gumbel
         assert named("stoppa", m=INF, c=2, q=3) == gumbel
+
+    @pytest.mark.parametrize("bad", [True, "2", None,
+                                     pytest.param(10 ** 400, id="10**400")])
+    @pytest.mark.parametrize("fn", [named, table1_mean])
+    def test_argument_that_is_not_a_real_double_rejected(self, fn, bad):
+        # IFParams' rule: float() used to read True as 1 and "2" as 2, and
+        # to raise TypeError on None and OverflowError past the doubles
+        with pytest.raises(DomainError, match="lomax: c must be a real number, got"):
+            fn("lomax", c=bad, q=2)
+
+    @pytest.mark.parametrize("c, q", [(2, np.int64(3)), (np.float32(2.0), 3.0),
+                                      (np.float64(2.0), 3)])
+    def test_int_and_numpy_arguments_keep_their_values(self, c, q):
+        assert named("lomax", c=c, q=q) == named("lomax", c=2.0, q=3.0)
+        assert table1_mean("lomax", c=c, q=q) == table1_mean("lomax", c=2.0, q=3.0)
 
     def test_missing_and_extra_args(self):
         with pytest.raises(DomainError, match="missing"):

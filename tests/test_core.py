@@ -54,7 +54,7 @@ class TestValidation:
             dist(0.0, 0.0, 1.0, 1.0, 0.0)
 
     def test_exponential_is_valid(self):
-        assert dist(INF, -1.0, 1.0, 1.0, 0.0).subfamily is Subfamily.IF2
+        assert classify(IFParams(INF, -1.0, 1.0, 1.0, 0.0)) is Subfamily.IF2
 
     @pytest.mark.parametrize(
         "params,msg",
@@ -77,6 +77,13 @@ class TestValidation:
         # bools are ints to Python and strings used to escape as TypeError
         with pytest.raises(DomainError, match="b must be a real number"):
             dist(1.0, bad, 1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("params, name", [((10 ** 400, 1, 1, 1, 0), "p"),
+                                              ((1, 1, 1, 1, -10 ** 400), "x0")])
+    def test_int_beyond_the_doubles_rejected(self, params, name):
+        # float() of such an int used to escape as OverflowError
+        with pytest.raises(DomainError, match=f"{name} must be a real number"):
+            IFParams(*params)
 
     def test_int_and_numpy_values_accepted(self):
         d = dist(1, np.float64(2.0), np.float32(1.0), 2, np.int64(0))
@@ -160,6 +167,11 @@ class TestPExponential:
     def test_bad_p(self, p):
         with pytest.raises(DomainError, match="p must be a nonnegative real or inf"):
             p_exponential(p, 0.5)
+
+    def test_int_beyond_the_doubles(self):
+        # float() of such an int used to escape as OverflowError
+        with pytest.raises(DomainError, match="p must be a nonnegative real or inf"):
+            p_exponential(10 ** 400, 0.5)
 
     def test_vectorized(self):
         out = p_exponential(1.0, np.array([0.0, 1.0, 2.0]))
@@ -418,6 +430,11 @@ class TestSample:
         # a fractional n would be cut to 2 draws without a word
         with pytest.raises(DomainError, match="n must be a whole number, got 2.5"):
             IFDistribution(EXPONENTIAL).sample(2.5, 1)
+
+    def test_fractional_seed_raises(self):
+        # the seed used to be cut to 1, giving seed 1's draws without a word
+        with pytest.raises(DomainError, match="seed must be a whole number, got 1.7"):
+            IFDistribution(EXPONENTIAL).sample(5, 1.7)
 
     def test_deterministic(self):
         d = IFDistribution(FIG_BASE)

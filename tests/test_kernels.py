@@ -588,6 +588,24 @@ class TestUniformStream:
         b = UniformStream(s2).draws(10)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [1.7, True, "12", None, math.nan, math.inf,
+                                      np.float64(math.nan), np.float64(math.inf)])
+    def test_seed_that_is_not_a_whole_number_raises(self, seed):
+        # 1.7, True and "12" used to give the streams of seeds 1, 1 and 12
+        with pytest.raises(DomainError, match="seed must be a whole number, got"):
+            UniformStream(seed)
+
+    @pytest.mark.parametrize("seed", [12.0, np.int64(12), np.float32(12.0)])
+    def test_whole_seed_of_any_real_type(self, seed):
+        assert np.array_equal(UniformStream(seed).draws(5), UniformStream(12).draws(5))
+
+    def test_int_seed_is_not_rounded_through_a_float(self):
+        # float(2**63 + 1) is 2**63; negative seeds wrap mod 2^64
+        assert not np.array_equal(UniformStream(2 ** 63 + 1).draws(5),
+                                  UniformStream(2 ** 63).draws(5))
+        assert np.array_equal(UniformStream(-1).draws(5), UniformStream(2 ** 64 - 1).draws(5))
+        assert np.array_equal(UniformStream(2 ** 64 + 3).draws(5), UniformStream(3).draws(5))
+
     def test_negative_n(self):
         with pytest.raises(DomainError, match="n must be nonnegative, got -1"):
             UniformStream(1).draws(-1)

@@ -393,7 +393,7 @@ class TestModeGrid:
 
     def test_degenerate_single_cell(self):
         template = IFParams(INF, -1.0, 1.0, 2.0, 0.0)
-        grid = mode_grid(template, ("b", -1.0, -1.0), ("q", 2.0, 2.0), 1)
+        grid = mode_grid(template, ("b", -1.0, -1.0), ("q", 2.0, 2.0), (1, 1))
         assert grid.shape == (1, 1)
         assert grid[0, 0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
@@ -410,16 +410,23 @@ class TestModeGrid:
     def test_bad_axis(self):
         template = IFParams(0.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            mode_grid(template, ("nope", 0.0, 1.0), ("q", 0.5, 1.0), 3)
+            mode_grid(template, ("nope", 0.0, 1.0), ("q", 0.5, 1.0), (3, 3))
         with pytest.raises(DomainError):
-            mode_grid(template, ("b", 1.0, 2.0), ("b", 1.0, 2.0), 3)
+            mode_grid(template, ("b", 1.0, 2.0), ("b", 1.0, 2.0), (3, 3))
         with pytest.raises(DomainError):
-            mode_grid(template, ("b", 2.0, 1.0), ("q", 0.5, 1.0), 3)
+            mode_grid(template, ("b", 2.0, 1.0), ("q", 0.5, 1.0), (3, 3))
+
+    @pytest.mark.parametrize("steps", [(2.5, 3), (True, 2), (3, "3")])
+    def test_steps_that_are_not_whole_numbers(self, steps):
+        # these used to escape as TypeError from np.linspace or replace()
+        with pytest.raises(DomainError, match="steps must be a whole number"):
+            mode_grid(IFParams(0.0, 1.0, 1.0, 1.0, 0.0), ("b", 1.0, 2.0), ("q", 0.5, 1.0), steps)
 
     def test_axis_across_b_zero(self):
         # each cell is built by replace(), which refuses b = 0
         with pytest.raises(DomainError, match="b must be nonzero and finite"):
-            mode_grid(IFParams(0.0, 1.0, 1.0, 1.0, 0.0), ("b", -1.0, 1.0), ("q", 0.5, 1.0), 3)
+            mode_grid(IFParams(0.0, 1.0, 1.0, 1.0, 0.0), ("b", -1.0, 1.0), ("q", 0.5, 1.0),
+                      (3, 3))
 
     @pytest.mark.parametrize("steps", [(10 ** 300, 1), (MAX_GRID_CELLS + 1, 1),
                                        (1, MAX_GRID_CELLS + 1), (1001, 1000)])
@@ -438,7 +445,7 @@ class TestModeGrid:
         axes = [("b", 1.0, 2.0), ("q", 0.5, 1.0)]
         axes[axis] = (axes[axis][0], lo, hi)
         with pytest.raises(DomainError, match="finite lo <= hi"):
-            mode_grid(IFParams(0.0, 1.0, 1.0, 1.0, 0.0), *axes, 3)
+            mode_grid(IFParams(0.0, 1.0, 1.0, 1.0, 0.0), *axes, (3, 3))
 
 
 class TestOracleAgreement:

@@ -62,6 +62,21 @@ class TestMomentExists:
             raw_moment(IFParams(0.0, 1.0, 1.0, 5.0, 0.0), r)
 
 
+    @pytest.mark.parametrize("r", [True, "1", pytest.param(10 ** 400, id="10**400")])
+    @pytest.mark.parametrize("fn", [moment_exists, raw_moment])
+    def test_order_follows_the_real_number_rule(self, fn, r):
+        # float() used to read True and "1" as order 1, and to raise
+        # OverflowError past the doubles
+        with pytest.raises(DomainError, match="moment order must be a positive integer"):
+            fn(IFParams(1.0, 2.0, 1.0, 2.0, 0.0), r)
+
+    @pytest.mark.parametrize("r", [2.0, np.int64(2), np.float32(2.0)])
+    def test_whole_order_of_any_real_type(self, r):
+        pa = IFParams(0.0, 1.0, 1.0, 5.0, 0.0)
+        assert moment_exists(pa, r) == moment_exists(pa, 2)
+        assert raw_moment(pa, r) == raw_moment(pa, 2)
+
+
 class TestRawMoment:
     def test_pareto_i_mean(self):
         res = raw_moment(IFParams(0.0, 1.0, 1.0, 2.0, 1.0), 1)
