@@ -22,9 +22,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import _PARAM_NAMES, IFParams, _real
+from .core import _PARAM_NAMES, IFParams
 from .errors import DomainError, NumericFailure
-from .kernels import beta, ln_gamma
+from .kernels import _real, _shown, beta, ln_gamma
 from .moments import CLOSED_FORM, MomentResult, mean, moment_exists
 
 __all__ = [
@@ -411,7 +411,7 @@ def _checked(e: CatalogEntry, args: dict) -> tuple[dict[str, float], IFParams]:
         raise DomainError(f"{e.name} takes ({', '.join(expected)}): "
                           + "; ".join(bits))
     clean = {k: _real(v) for k, v in args.items()}
-    problems = ([f"{k} must be a real number, got {args[k]!r}"
+    problems = ([f"{k} must be a real number, got {_shown(args[k])}"
                  for k, v in clean.items() if v is None] or e.check(**clean))
     if problems:
         raise DomainError(f"{e.name}: " + "; ".join(problems))

@@ -2,8 +2,9 @@
 generation, catalog queries and self-verification.
 
 Exit codes: 0 success, 1 validation problem, 2 numeric failure, 3 I/O error.
-All output is deterministic for fixed flags (including seeds); numbers are
-printed with 17 significant digits so files round-trip to the exact doubles.
+All output is deterministic for fixed flags (including seeds), except the
+`seconds=` field that `check` prints; numbers are printed with 17
+significant digits so files round-trip to the exact doubles.
 
 The distribution is selected either by the five raw flags
 
@@ -270,12 +271,11 @@ def _cmd_modegrid(ns) -> int:
     axis1 = parse_axis(ns.axis1)
     axis2 = parse_axis(ns.axis2)
     steps = _parse_floats(ns.steps)
-    if len(steps) != 2 or not all(s.is_integer() for s in steps):
+    if len(steps) != 2:
         raise _UsageError("--steps expects N1,N2 with integers")
-    grid = modes_mod.mode_grid(params, axis1, axis2,
-                               (int(steps[0]), int(steps[1])))
-    v1 = np.linspace(axis1[1], axis1[2], int(steps[0]))
-    v2 = np.linspace(axis2[1], axis2[2], int(steps[1]))
+    grid = modes_mod.mode_grid(params, axis1, axis2, steps)
+    v1 = np.linspace(axis1[1], axis1[2], grid.shape[0])
+    v2 = np.linspace(axis2[1], axis2[2], grid.shape[1])
     _write_csv(sys.stdout, [f"{axis1[0]}\\{axis2[0]}"] + [_fmt(v) for v in v2],
                [v1, *grid.T])
     return 0
@@ -308,10 +308,8 @@ def _worse(dev: float, worst: float) -> bool:
 
 
 def _check_params_iter():
-    for p, b, q, c, x0 in product(_CHECK_GRID["p"], _CHECK_GRID["b"],
-                                  _CHECK_GRID["q"], _CHECK_GRID["c"],
-                                  _CHECK_GRID["x0"]):
-        yield IFParams(p, b, c, q, x0)
+    for values in product(*_CHECK_GRID.values()):
+        yield IFParams(**dict(zip(_CHECK_GRID, values)))
 
 
 def _check_normalization(tol: float):

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError
-from .kernels import UniformStream
+from .kernels import UniformStream, _real, _shown
 
 __all__ = [
     "IFParams",
@@ -37,19 +36,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
-
-
-def _real(v) -> float | None:
-    """v as a Python float, or None for a bool, for a value that is not a
-    numbers.Real and for an int beyond the doubles; inf and NaN pass."""
-    # bools are ints to Python; testing float and int first spares the slow
-    # ABC check for the common cases
-    if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
-        return None
-    try:
-        return float(v)
-    except OverflowError:
-        return None
 
 
 def _first_float(out: np.ndarray) -> float:
@@ -112,7 +98,7 @@ class IFParams:
         p, b, c, q, x0 = reals = tuple(map(_real, vals))
         if None in reals:
             raise DomainError("; ".join(
-                f"{name} must be a real number, got {v!r}"
+                f"{name} must be a real number, got {_shown(v)}"
                 for name, v, r in zip(_PARAM_NAMES, vals, reals) if r is None))
         out = []  # NaN fails every comparison
         if not p >= 0:
@@ -192,8 +178,7 @@ def g_big(params: IFParams, x):
         # y^b as exp(b ln y) where y leaves the normal doubles and ds does not
         far = ((y < _TINY) | (y == math.inf)) & (ds > 0) & (ds < math.inf)
         powered[far] = np.exp(params.b * d._ln_y(ds[far]))
-    k = 0.0 if math.isinf(params.p) else math.exp(d._ln_k)
-    return unwrap(k + powered)
+    return unwrap(math.exp(d._ln_k) + powered)
 
 
 class IFDistribution:
@@ -455,22 +440,20 @@ class IFDistribution:
             out[bad] = np.exp(math.log(c) + ln_scale + expo * ln_w)
         return float(out) if scalar else out
 
-    def _quantile_plus_offset(self, ln_y: np.ndarray,
-                              ln_1my: np.ndarray) -> np.ndarray:
-        """Rising-branch quantile minus x0, evaluated from ln(y) and ln(1-y).
-
-        Taking both logs keeps full precision for probabilities next to
-        either endpoint; the b < 0 case reuses this with the two swapped.
-        """
+    def _quantile_plus_offset(self, ln_v: np.ndarray) -> np.ndarray:
+        """Rising-branch quantile minus x0 at the level y, from ln v: v is
+        the lower tail y at p > 0 and the upper tail 1 - y (w itself) at
+        p = 0.  The b < 0 case passes the other tail: its quantile at y is
+        this branch's at 1 - y."""
         q, p = self.q, self.p
         if self._inf_p:
-            return self._offset_at(-ln_y)
+            return self._offset_at(-ln_v)
         if p == 0.0:
-            return self._offset_at(-ln_1my / q)
-        u = -np.expm1(ln_y / (p + 1.0))          # 1 - y^(1/(p+1))
+            return self._offset_at(-ln_v / q)
+        u = -np.expm1(ln_v / (p + 1.0))          # 1 - y^(1/(p+1))
         low = u == 1.0                           # deep in the lower tail
         z = np.log(u, out=u)                     # in place: no 1e6-element temporary
-        z[low] = np.log1p(-np.exp(ln_y[low] / (p + 1.0)))
+        z[low] = np.log1p(-np.exp(ln_v[low] / (p + 1.0)))
         z /= -q
         return self._offset_at(z)
 
@@ -481,11 +464,10 @@ class IFDistribution:
         if np.isnan(ys).any() or (ys < 0).any() or (ys > 1).any():
             raise DomainError("quantile requires y in [0, 1]")
         with np.errstate(all="ignore"):
-            ln_y, ln_1my = np.log(ys), np.log1p(-ys)
-            if self.b > 0:
-                out = self._quantile_plus_offset(ln_y, ln_1my)
-            else:
-                out = self._quantile_plus_offset(ln_1my, ln_y)
+            # the one logarithm the branch reads: each tail's own keeps full
+            # precision for probabilities next to its endpoint
+            lower = (self.b > 0) != (self.p == 0.0)
+            out = self._quantile_plus_offset(np.log(ys) if lower else np.log1p(-ys))
         if not _all_inside(ys, 1.0):
             out[ys == 0.0] = 0.0
             out[ys == 1.0] = math.inf

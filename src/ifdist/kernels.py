@@ -29,6 +29,50 @@ __all__ = [
     "UniformStream",
 ]
 
+_EPS = float(np.finfo(float).eps)  # the spacing of the doubles at 1
+
+
+# ---------------------------------------------------------------------------
+# the number rules: every number a caller passes is read by one of these
+# ---------------------------------------------------------------------------
+
+def _real(v, refused=None) -> float | None:
+    """v as a Python float, or `refused` for a bool, a value that is not a
+    numbers.Real and an int beyond the doubles; inf and NaN pass.  Before a
+    range rule, refused=math.nan: every such rule refuses NaN."""
+    # bools are ints to Python; testing float and int first spares the slow
+    # ABC check for the common cases
+    if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
+        return refused
+    try:
+        return float(v)
+    except OverflowError:
+        return refused
+
+
+def _shown(v) -> str:
+    """repr(v) for a `got ...` message, or the size of an int too long for it."""
+    try:
+        return repr(v)
+    except ValueError:
+        return f"an int of {v.bit_length()} bits"
+
+
+# int(v) for an integral v that is not a bool, never rounded through a float,
+# or for a `_real` v with no fractional part, else DomainError
+def _whole(v, what: str) -> int:
+    if not ((isinstance(v, numbers.Integral) and not isinstance(v, bool))
+            or _real(v, math.nan).is_integer()):
+        raise DomainError(f"{what} must be a whole number, got {_shown(v)}")
+    return int(v)
+
+
+def _tol(tol) -> float:
+    """The one tolerance rule of the kernels: a positive real number."""
+    if not (t := _real(tol, math.nan)) > 0.0:
+        raise DomainError(f"tol must be positive, got {_shown(tol)}")
+    return t
+
 
 # ---------------------------------------------------------------------------
 # log-gamma and beta
@@ -60,9 +104,9 @@ def ln_gamma(x: float) -> float:
     the argument above 15 first; the result is accurate to well below one
     double-precision ulp of ln(gamma(x)) across [1e-6, 170].
     """
-    xf = float(x)
-    if not math.isfinite(xf) or xf <= 0.0:
-        raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
+    xf = _real(x, math.nan)
+    if not 0.0 < xf < math.inf:
+        raise DomainError(f"ln_gamma requires finite x > 0, got {_shown(x)}")
     z = np.longdouble(xf)
     shift = np.longdouble(0.0)
     while z < 15.0:
@@ -79,11 +123,13 @@ def ln_gamma(x: float) -> float:
 def beta(a: float, b: float) -> float:
     """Beta function B(a, b) = exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a+b)),
     and B(1, y) = B(y, 1) = 1/y exactly."""
-    if not (math.isfinite(a) and a > 0.0) or not (math.isfinite(b) and b > 0.0):
-        raise DomainError(f"beta requires positive arguments, got ({a!r}, {b!r})")
-    if a == 1.0 or b == 1.0:
-        return 1.0 / (a * b)
-    return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
+    x, y = _real(a, math.nan), _real(b, math.nan)
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise DomainError(f"beta requires positive arguments, "
+                          f"got ({_shown(a)}, {_shown(b)})")
+    if x == 1.0 or y == 1.0:
+        return 1.0 / (x * y)
+    return math.exp(ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y))
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +145,22 @@ class QuadratureResult:
 
 
 # The one interval rule of `find_root` and `maximize_scalar`: lo < hi with a
-# finite width hi - lo.  The one comparison refuses NaN and infinite ends,
-# and ends so far apart that their difference overflows, where the
-# golden-section points would leave the interval.
+# finite width hi - lo, the ends read by `_real` and kept as floats.  The one
+# comparison refuses NaN and infinite ends, and ends so far apart that their
+# difference overflows, where the golden-section points would leave the
+# interval.
 @dataclass(frozen=True)
 class Bracket:
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (0.0 < self.hi - self.lo < math.inf):
+        lo, hi = _real(self.lo, math.nan), _real(self.hi, math.nan)
+        if not (0.0 < hi - lo < math.inf):
             raise DomainError(f"bracket requires lo < hi with a finite width "
-                              f"hi - lo, got [{self.lo}, {self.hi}]")
+                              f"hi - lo, got [{_shown(self.lo)}, {_shown(self.hi)}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
 # Kronrod-15 abscissae on [-1, 1] (positive half; nodes are symmetric) with
@@ -305,17 +355,15 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-8,
     the result rests on; f may see about 1.5 times as many, because a
     look-ahead row goes unused where its half is never split.
     """
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    if not -math.inf < lo < hi:
+    tol = _tol(tol)
+    a, b = _real(lo, math.nan), _real(hi, math.nan)
+    if not -math.inf < a < b:
         raise DomainError(f"integration requires -inf < lo < hi (bounds must "
-                          f"not be NaN), got [{lo}, {hi}]")
+                          f"not be NaN), got [{_shown(lo)}, {_shown(hi)}]")
 
-    extra_err = 0.0
-    extra_evals = 0
-    if math.isinf(hi):
+    if math.isinf(b):
         def g(us):
-            xs = lo + np.expm1(us)
+            xs = a + np.expm1(us)
             with np.errstate(over="ignore"):
                 return np.asarray(f(xs), dtype=float) * np.exp(us)
 
@@ -323,21 +371,19 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-8,
         # shows up as a non-negligible transformed integrand at u = U_MAX;
         # an infinite one leaves nothing for the refinement to converge to
         tail = float(np.atleast_1d(g(np.array([_U_MAX])))[0])
-        extra_evals = 1
         if math.isnan(tail):
             raise NumericFailure("integrand returned NaN near the upper limit")
         if math.isinf(tail):
-            return QuadratureResult(math.inf, math.inf, False, extra_evals)
-        extra_err = 100.0 * abs(tail)
+            return QuadratureResult(math.inf, math.inf, False, 1)
 
         mesh = [0.0, 1e-9, 1e-6, 1e-3, 0.05, 0.25, 1.0, 2.0, 4.0, 7.0,
                 12.0, 20.0, 40.0, 80.0, 160.0, 320.0, _U_MAX]
         value, err, evals = _adapt(g, mesh, tol, limit)
+        err += 100.0 * abs(tail)
+        evals += 1
     else:
-        value, err, evals = _adapt(f, _seed_mesh(lo, hi), tol, limit)
+        value, err, evals = _adapt(f, _seed_mesh(a, b), tol, limit)
 
-    err += extra_err
-    evals += extra_evals
     return QuadratureResult(value=value, abs_error_estimate=err,
                             converged=err <= tol, evaluations=evals)
 
@@ -355,8 +401,7 @@ _ROOT_STEPS = 200
 def find_root(f, bracket: Bracket, tol: float = 1e-10) -> float:
     """Root of f inside a sign-changing bracket, to within tol, by Brent's
     method; NumericFailure, not an unconverged iterate, after `_ROOT_STEPS`."""
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    tol = _tol(tol)
     a, b = bracket.lo, bracket.hi
     fa, fb = float(f(a)), float(f(b))
     if math.isnan(fa) or math.isnan(fb):
@@ -377,7 +422,7 @@ def find_root(f, bracket: Bracket, tol: float = 1e-10) -> float:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        delta = 0.5 * tol + 2.0 * np.finfo(float).eps * abs(b)
+        delta = 0.5 * tol + 2.0 * _EPS * abs(b)
         m = 0.5 * (c - b)
         if abs(m) <= delta or fb == 0.0:
             return b
@@ -422,9 +467,8 @@ def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float,
 
     Exact for unimodal f; best effort otherwise.
     """
-    bracket = Bracket(float(lo), float(hi))
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    bracket = Bracket(lo, hi)
+    tol = _tol(tol)
     a, b = bracket.lo, bracket.hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -465,15 +509,6 @@ def _splitmix_array(states: np.ndarray) -> np.ndarray:
     return z
 
 
-# int(v) for a real v, not a bool, with no fractional part, else DomainError;
-# an integral v is never rounded through a float
-def _whole(v, what: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (
-            isinstance(v, numbers.Integral) or float(v).is_integer()):
-        raise DomainError(f"{what} must be a whole number, got {v!r}")
-    return int(v)
-
-
 class UniformStream:
     """Deterministic stream of doubles strictly inside (0, 1).
 
@@ -489,7 +524,7 @@ class UniformStream:
         """The next n values as an array (advances the stream); n is a
         nonnegative whole number (`_whole`), such as 3 or 1e6."""
         if (count := _whole(n, "n")) < 0:
-            raise DomainError(f"n must be nonnegative, got {n!r}")
+            raise DomainError(f"n must be nonnegative, got {_shown(n)}")
         idx = np.arange(self._index + 1, self._index + count + 1, dtype=np.uint64)
         self._index += count
         states = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)

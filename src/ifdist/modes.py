@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import _PARAM_NAMES, IFDistribution, IFParams, Subfamily, classify
 from .errors import DomainError, NumericFailure
-from .kernels import Bracket, _whole, find_root
+from .kernels import Bracket, _real, _whole, find_root
 
 __all__ = [
     "BoundaryKind",
@@ -67,6 +67,10 @@ class ModeKind(enum.Enum):
     BOUNDARY = "boundary"
     INTERIOR = "interior"
     ASYMPTOTE = "asymptote-at-boundary"
+
+
+# the mode_grid cell of each kind that has a code; an interior cell holds x
+_GRID_CODES = {ModeKind.BOUNDARY: MODE_AT_BOUNDARY, ModeKind.ASYMPTOTE: MODE_ASYMPTOTE}
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,8 +136,7 @@ def solve_mode_equation(params: IFParams) -> list[float]:
     roots = [float(t) for t in ts[vals == 0.0]]
     # brackets by sign: the product of values overflows at p near 1e300
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
-        roots.append(find_root(residual, Bracket(float(ts[i]), float(ts[i + 1])),
-                               tol=_ROOT_TOL))
+        roots.append(find_root(residual, Bracket(ts[i], ts[i + 1]), tol=_ROOT_TOL))
     return sorted(roots)
 
 
@@ -144,15 +147,15 @@ def mode_x_from_t(params: IFParams, t: float) -> float:
     return d.x0 + d._level_offset(t)
 
 
-def _closed_form_mode(params: IFParams, sub: Subfamily) -> float:
+def _closed_form_mode(d: IFDistribution, sub: Subfamily) -> float:
     """The interior mode of a subfamily member whose density is 0 at x0."""
-    b, c, q, p, x0 = params.b, params.c, params.q, params.p, params.x0
+    b, c, q, p, x0 = d.b, d.c, d.q, d.p, d.x0
     if sub is Subfamily.IF1:
         return x0 + c * ((b - 1.0) / (b * q + 1.0)) ** (1.0 / b)
     if sub is Subfamily.IF2:
         return x0 + c * (b * q / (b * q + 1.0)) ** (1.0 / (b * q))
-    scale = math.exp(-math.log1p(p) / q)
-    return x0 + c * scale * (((q + 1.0) / ((p + 1.0) * q + 1.0)) ** (-1.0 / q) - 1.0)
+    k = math.exp(d._ln_k)  # (p+1)^(-1/q)
+    return x0 + c * k * (((q + 1.0) / ((p + 1.0) * q + 1.0)) ** (-1.0 / q) - 1.0)
 
 
 def mode(params: IFParams) -> ModeResult:
@@ -169,7 +172,7 @@ def mode(params: IFParams) -> ModeResult:
         roots = solve_mode_equation(params)
         xs, n = [d.x0 + d._level_offset(t) for t in roots], len(roots)
     else:
-        xs, n = [_closed_form_mode(params, sub)] if e > 0 else [], 0
+        xs, n = [_closed_form_mode(d, sub)] if e > 0 else [], 0
     best_x, best_f = params.x0, d._boundary
     for x in xs:
         fx = d.pdf(x)
@@ -211,8 +214,9 @@ def mode_grid(template: IFParams, axis1: tuple[str, float, float],
             raise DomainError(f"unknown axis parameter {name!r}")
     if name1 == name2:
         raise DomainError("the two axes must name different parameters")
+    lo1, hi1, lo2, hi2 = (_real(v, math.nan) for v in (lo1, hi1, lo2, hi2))
     for lo, hi in ((lo1, hi1), (lo2, hi2)):
-        if not -math.inf < lo <= hi < math.inf:  # NaN too
+        if not -math.inf < lo <= hi < math.inf:  # NaN too, as a refused bound reads
             raise DomainError("axis range must satisfy finite lo <= hi")
     vals1 = np.linspace(lo1, hi1, n1)
     vals2 = np.linspace(lo2, hi2, n2)
@@ -220,10 +224,5 @@ def mode_grid(template: IFParams, axis1: tuple[str, float, float],
     for i, v1 in enumerate(vals1):
         for j, v2 in enumerate(vals2):
             res = mode(replace(template, **{name1: v1, name2: v2}))
-            if res.kind is ModeKind.BOUNDARY:
-                out[i, j] = MODE_AT_BOUNDARY
-            elif res.kind is ModeKind.ASYMPTOTE:
-                out[i, j] = MODE_ASYMPTOTE
-            else:
-                out[i, j] = res.x
+            out[i, j] = _GRID_CODES.get(res.kind, res.x)
     return out

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IFDistribution, IFParams, Subfamily, _exp, _real, classify
+from .core import _LN2, IFDistribution, IFParams, Subfamily, _exp, classify
 from .errors import DomainError, NumericFailure
-from .kernels import beta, integrate, ln_gamma
+from .kernels import _EPS, _real, _shown, beta, integrate, ln_gamma
 
 __all__ = [
     "MomentResult",
@@ -57,8 +57,6 @@ _LIMIT = 2000
 # The [0, 1] form aims at this relative tolerance and fails above the bound.
 _UNIT_RTOL = 1e-14
 _UNIT_MAX_REL_ERR = 1e-10
-_EPS = float(np.finfo(float).eps)
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,9 +74,8 @@ class MomentResult:
 
 
 def _check_order(r) -> int:
-    rr = _real(r)
-    if rr is None or not rr.is_integer() or rr < 1:
-        raise DomainError(f"moment order must be a positive integer, got {r!r}")
+    if not (rr := _real(r, math.nan)).is_integer() or rr < 1:
+        raise DomainError(f"moment order must be a positive integer, got {_shown(r)}")
     return int(rr)
 
 

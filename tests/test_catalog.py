@@ -125,7 +125,8 @@ class TestNamed:
         assert named("stoppa", m=INF, c=2, q=3) == gumbel
 
     @pytest.mark.parametrize("bad", [True, "2", None,
-                                     pytest.param(10 ** 400, id="10**400")])
+                                     pytest.param(10 ** 400, id="10**400"),
+                                     pytest.param(10 ** 5000, id="10**5000")])
     @pytest.mark.parametrize("fn", [named, table1_mean])
     def test_argument_that_is_not_a_real_double_rejected(self, fn, bad):
         # IFParams' rule: float() used to read True as 1 and "2" as 2, and

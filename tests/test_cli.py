@@ -412,7 +412,7 @@ class TestExitCodes:
         ("--dist exponential --c 1 modegrid --axis1 q,1,2 --axis2 c,1,2 --steps 0,3",
          "mode_grid needs at least one step per axis"),
         ("--dist exponential --c 1 modegrid --axis1 q,1,2 --axis2 c,1,2 --steps 1.5,3",
-         "--steps expects N1,N2 with integers"),
+         "steps must be a whole number, got 1.5"),
         # numpy's own errors at these sizes differ; the cap comes first
         ("--dist exponential --c 1 modegrid --axis1 q,1,2 --axis2 c,1,2 --steps 1e300,1",
          "mode_grid allows at most 1000000 cells (steps N1 x N2)"),

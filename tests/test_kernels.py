@@ -58,10 +58,15 @@ class TestLnGamma:
         # contract: relative error of exp(result) <= 1e-13
         assert abs(math.expm1(ln_gamma(x) - ref)) <= 1e-13
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf,
+                                     "2", True, pytest.param(10 ** 400, id="10**400")])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             ln_gamma(bad)
+
+    @pytest.mark.parametrize("x", [5, np.int64(5), np.float32(2.5), 2.5])
+    def test_int_and_numpy_arguments_keep_their_values(self, x):
+        assert ln_gamma(x) == ln_gamma(float(x))
 
 
 class TestBeta:
@@ -86,6 +91,18 @@ class TestBeta:
             beta(-1.0, 2.0)
         with pytest.raises(DomainError):
             beta(1.0, 0.0)
+
+    @pytest.mark.parametrize("a, b", [(True, 2), (2, True), ("2", 3.0),
+                                      pytest.param(10 ** 400, 2, id="10**400-2")])
+    def test_argument_the_number_rule_refuses(self, a, b):
+        # beta(True, 2) used to answer 0.5, and 10**400 raised OverflowError
+        with pytest.raises(DomainError, match="beta requires positive arguments, got"):
+            beta(a, b)
+
+    @pytest.mark.parametrize("a, b", [(2, np.int64(3)), (np.float32(2.5), 3),
+                                      (1, np.float32(4.0)), (np.float64(0.5), 1)])
+    def test_int_and_numpy_arguments_keep_their_values(self, a, b):
+        assert beta(a, b) == beta(float(a), float(b))
 
 
 # B(a, b) at the double a = 2/3 and b = 1e12, from mpmath at 50 and 80
@@ -177,10 +194,22 @@ class TestIntegrate:
             integrate(lambda x: x, 2.0, 1.0, 1e-8)
 
     @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan),
-                                        (math.nan, math.inf)])
+                                        (math.nan, math.inf), ("0", 1.0),
+                                        (False, 1.0),
+                                        pytest.param(0.0, 10 ** 400, id="0-10**400")])
     def test_nan_bound(self, lo, hi):
+        # a bound the number rule refuses reads as NaN; "0" used to escape
+        # as TypeError and 10**400 as OverflowError
         with pytest.raises(DomainError, match="must not be NaN"):
             integrate(lambda x: x, lo, hi, 1e-8)
+
+    @pytest.mark.parametrize("lo, hi, tol", [(0, np.int64(2), 1), (np.int64(0), 2.0, 1e-8),
+                                             (1, math.inf, np.float32(2.0 ** -20))])
+    def test_int_and_numpy_arguments_keep_their_values(self, lo, hi, tol):
+        def f(x):
+            return np.exp(-x) * np.sqrt(x)
+
+        assert integrate(f, lo, hi, tol) == integrate(f, float(lo), float(hi), float(tol))
 
     @pytest.mark.parametrize("hi", [0.0, math.inf])
     def test_infinite_lower_bound_is_refused_before_any_call(self, hi):
@@ -196,7 +225,7 @@ class TestIntegrate:
             integrate(f, -math.inf, hi)
         assert calls == []
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, "1", True])
     def test_bad_tol(self, tol):
         with pytest.raises(DomainError, match="tol must be positive"):
             integrate(lambda x: x, 0.0, 1.0, tol)
@@ -457,10 +486,21 @@ class TestFindRoot:
     @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
                                         (0.0, math.nan), (0.0, math.inf),
                                         (-math.inf, 5.0), (-math.inf, math.inf),
-                                        (-1e308, 1e308)])
+                                        (-1e308, 1e308), ("0", "1"), (False, True),
+                                        pytest.param(0, 10 ** 400, id="0-10**400")])
     def test_empty_bracket(self, lo, hi):
         with pytest.raises(DomainError, match="bracket requires lo < hi"):
             Bracket(lo, hi)
+
+    @pytest.mark.parametrize("lo, hi, tol", [(0, np.int64(1), 1e-10),
+                                             (np.float32(0.25), 1, np.float32(0.5)),
+                                             (np.float64(0.0), 1, 1)])
+    def test_int_and_numpy_arguments_keep_their_values(self, lo, hi, tol):
+        def f(x):
+            return x * x - 0.3
+
+        assert (find_root(f, Bracket(lo, hi), tol)
+                == find_root(f, Bracket(float(lo), float(hi)), float(tol)))
 
     @pytest.mark.parametrize("f, lo, hi", [(lambda x: x - 0.3, 0.0, math.inf),
                                            (math.atan, -math.inf, 5.0)])
@@ -469,7 +509,7 @@ class TestFindRoot:
         with pytest.raises(DomainError, match="bracket requires lo < hi"):
             find_root(f, Bracket(lo, hi))
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, "1", True])
     def test_bad_tol(self, tol):
         with pytest.raises(DomainError, match="tol must be positive"):
             find_root(lambda x: x - 0.3, Bracket(0.0, 1.0), tol)
@@ -530,7 +570,8 @@ class TestMaximizeScalar:
             maximize_scalar(lambda x: x, 1.0, 1.0)
 
     @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (-1.0, math.inf),
-                                        (-1e308, 1e308)])
+                                        (-1e308, 1e308), ("0", "1"),
+                                        pytest.param(0, 10 ** 400, id="0-10**400")])
     def test_infinite_or_overflowing_bounds(self, lo, hi):
         # an infinite end makes the golden-section points NaN, and ends
         # 2e308 apart overflow them
@@ -551,10 +592,19 @@ class TestMaximizeScalar:
         assert abs(x - 1e6) <= 4 * math.ulp(1e6) and v == f(x)
         assert len(calls) < 100
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, "1", True])
     def test_bad_tol(self, tol):
         with pytest.raises(DomainError, match="tol must be positive"):
             maximize_scalar(lambda x: -x * x, -1.0, 1.0, tol)
+
+    @pytest.mark.parametrize("lo, hi, tol", [(-1, np.int64(2), 1e-10),
+                                             (np.float32(-0.5), 2, np.float32(0.25))])
+    def test_int_and_numpy_arguments_keep_their_values(self, lo, hi, tol):
+        def f(x):
+            return -(x - 0.3) ** 2
+
+        assert (maximize_scalar(f, lo, hi, tol)
+                == maximize_scalar(f, float(lo), float(hi), float(tol)))
 
 
 class TestUniformStream:
@@ -622,3 +672,20 @@ class TestUniformStream:
 
     def test_integral_float_n(self):
         assert np.array_equal(UniformStream(7).draws(1e3), UniformStream(7).draws(1000))
+
+
+# An int of more than 4300 digits has no repr by default, so a message that
+# formats it with {v!r} raised ValueError in place of the DomainError
+_TOO_LONG = 10 ** 5000
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IFParams(_TOO_LONG, 1, 1, 1, 0), "p must be a real number"),
+    (lambda: UniformStream(1).draws(-_TOO_LONG), "n must be nonnegative"),
+    (lambda: ln_gamma(_TOO_LONG), "ln_gamma requires finite x > 0"),
+    (lambda: integrate(math.exp, 0.0, 1.0, -_TOO_LONG), "tol must be positive"),
+])
+def test_an_int_too_long_for_repr_is_named_by_its_size(call, message):
+    with pytest.raises(DomainError, match=f"^{message}, got an int of "
+                                          f"{_TOO_LONG.bit_length()} bits$"):
+        call()

@@ -438,14 +438,24 @@ class TestModeGrid:
                       ("b", 1.0, 2.0), ("q", 0.5, 1.0), steps)
 
     @pytest.mark.parametrize("lo, hi", [(0.0, INF), (-INF, 2.0), (-INF, INF),
-                                        (math.nan, 2.0), (1.0, math.nan)])
+                                        (math.nan, 2.0), (1.0, math.nan),
+                                        ("1", 2.0), (True, 2.0),
+                                        pytest.param(0, 10 ** 400, id="0-10**400")])
     @pytest.mark.parametrize("axis", [0, 1])
     def test_non_finite_bound(self, lo, hi, axis):
-        # an infinite bound would reach IFParams as NaN through linspace
+        # an infinite bound would reach IFParams as NaN through linspace; a
+        # bound the number rule refuses used to be read as 1 (True) or to
+        # escape as TypeError or numpy's UFuncTypeError
         axes = [("b", 1.0, 2.0), ("q", 0.5, 1.0)]
         axes[axis] = (axes[axis][0], lo, hi)
         with pytest.raises(DomainError, match="finite lo <= hi"):
             mode_grid(IFParams(0.0, 1.0, 1.0, 1.0, 0.0), *axes, (3, 3))
+
+    def test_int_and_numpy_bounds_keep_their_values(self):
+        pa = IFParams(0.0, 1.0, 1.0, 1.0, 0.0)
+        grid = mode_grid(pa, ("b", 1, np.int64(3)), ("q", np.float32(1.0), 2.0), (3, 3))
+        assert np.array_equal(grid, mode_grid(pa, ("b", 1.0, 3.0), ("q", 1.0, 2.0),
+                                              (3, 3)))
 
 
 class TestOracleAgreement:

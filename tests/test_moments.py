@@ -62,7 +62,8 @@ class TestMomentExists:
             raw_moment(IFParams(0.0, 1.0, 1.0, 5.0, 0.0), r)
 
 
-    @pytest.mark.parametrize("r", [True, "1", pytest.param(10 ** 400, id="10**400")])
+    @pytest.mark.parametrize("r", [True, "1", pytest.param(10 ** 400, id="10**400"),
+                                   pytest.param(10 ** 5000, id="10**5000")])
     @pytest.mark.parametrize("fn", [moment_exists, raw_moment])
     def test_order_follows_the_real_number_rule(self, fn, r):
         # float() used to read True and "1" as order 1, and to raise
