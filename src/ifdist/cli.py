@@ -20,12 +20,13 @@ override file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
 import zlib
 from dataclasses import replace
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -42,8 +43,15 @@ _ENTRY_KEYS = _PARAM_NAMES + ("gamma", "m")
 
 # 17 significant digits: every printed double reads back to itself
 _DIGITS = ".17g"
-# rows per chunk of the CSV writer: bounded memory on 1e6-row samples
-_CHUNK_ROWS = 1024
+# rows per chunk of the CSV writer: bounded memory on 1e6-row samples, and
+# the per-chunk cost no longer dominates (10**6 draws took 0.55 s at 1024
+# rows against 0.35 s at 8192, medians of 7 on a 2-core Xeon VM)
+_CHUNK_ROWS = 8192
+# bytes of a CSV cell's slot (see `_g17_cells`)
+_SLOT = 45
+# decimal exponents k of the writer's tables (normal doubles have k in
+# [-308, 308])
+_K_LO, _K_HI = -310, 310
 
 # the density-sweep base point: every parameter fixed unless varied/overridden
 _CURVE_BASE = {"p": 1.0, "b": 1.0, "c": 200.0, "q": 2.0, "x0": 0.0}
@@ -72,15 +80,124 @@ def _fmt(v: float) -> str:
     return format(float(v), _DIGITS)
 
 
+@functools.cache
+def _g17_tables():
+    """The tables of `_g17_cells`, built on first use, not at import: per
+    exponent k, 10**(16 - k) = (hi + lo) * 2**t with hi in [1, 2), to about
+    2**-106, with hi's Veltkamp halves, and the slot bytes; the ASCII
+    groups 0000..9999 as uint32 words; and the slot masks by (layout of k,
+    sign, number of significant digits)."""
+    ks = np.arange(_K_LO, _K_HI + 1)
+    powers = []
+    for s in (16 - ks).tolist():
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        t = num.bit_length() - den.bit_length() - 1
+        num, den = num << max(-t, 0), den << max(t, 0)
+        if num >= 2 * den:
+            t, den = t + 1, 2 * den
+        hi = num / den  # int / int rounds correctly
+        hn, hd = hi.as_integer_ratio()
+        powers.append((hi, (num * hd - hn * den) / (den * hd), t))
+    hi, lo, t = map(np.array, zip(*powers))
+    t = t.astype(np.int32)  # as frexp's exponents: ldexp has int32 loops everywhere
+    c = 134217729.0 * hi
+    hi_h = c - (c - hi)
+    dig4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
+            + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
+    slots = np.frombuffer(b"".join(
+        b"-0.000" + b"0." * 16 + f"0e{k:+04d},".encode() for k in ks),
+        np.uint8).reshape(len(ks), _SLOT)
+    # Python's `g` at 17 digits: fixed for -4 <= k < 17 (layouts 0..20),
+    # else d.ddde+XX with 2 or 3 exponent digits (21, 22); trailing zeros
+    # and a bare "." dropped.  A byte shows where its rank is below the
+    # number of significant digits; digit j has rank j.
+    layout = np.where((-4 <= ks) & (ks < 17), ks + 4, 21 + (abs(ks) >= 100))
+    rank = np.full((23, 2, _SLOT), 127)  # 127: never shown
+    for lay, r in enumerate(rank):
+        k = lay - 4
+        r[:, 6:39:2] = range(17)
+        r[:, -1] = -1  # the separator
+        r[1, 0] = -1  # "-"
+        if lay > 20:
+            r[:, 7] = 1
+            r[:, 39:41] = -1
+            r[:, 41 + (lay == 21):44] = -1
+        elif k >= 0:
+            r[:, 6:7 + 2 * k:2] = -1
+            r[:, 7 + 2 * k:8 + 2 * k] = k + 1  # the "." after digit k, if any
+        else:
+            r[:, 1:2 - k] = -1  # "0." and -k - 1 zeros
+    masks = rank[:, :, None, :] < np.arange(1, 18)[:, None]
+    return hi, lo, hi_h, hi - hi_h, t, dig4, slots, layout, masks.reshape(-1, _SLOT)
+
+
+def _scaled(m, e, k):
+    """(P, E) with P + E = m * 2**e * 10**(16 - k) to about 2**-104
+    relative: Dekker's two-product of m and the table's hi, plus m * lo."""
+    hi, lo, hi_h, hi_l, t, *_ = _g17_tables()
+    i = k - _K_LO
+    c = 134217729.0 * m
+    m_h = c - (c - m)
+    m_l = m - m_h
+    p = m * hi[i]
+    err = ((m_h * hi_h[i] - p) + m_h * hi_l[i] + m_l * hi_h[i]) + m_l * hi_l[i]
+    shift = e + t[i]
+    return np.ldexp(p, shift), np.ldexp(err + m * lo[i], shift)
+
+
+def _g17_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of `_SLOT` bytes and the mask of their kept bytes, which are
+    format(x[i], ".17g") and a ",".  A slot holds every byte any layout
+    needs: "-0.000", the 17 digits with a "." after each, "e+308,".
+
+    A normal x prints the 17 digits of N = round(|x| * 10**(16 - k)) in
+    [1e16, 1e17).  P + E carries |x| * 10**(16 - k) to far below 1e-6; k
+    moves until P + E, rounded, lies in [1e16, 1e17].  P > 2**53 is then
+    an integer, so N = P + rint(E), and N strictly inside (1e16, 1e17)
+    proves k right.  Cells with E within 1e-6 of a half-integer, cells
+    whose N is not inside, zeros, subnormals, inf and NaN take `format`."""
+    *_, dig4, slots, layout, masks = _g17_tables()
+    ax = np.abs(x)
+    fast = (ax >= sys.float_info.min) & (ax <= sys.float_info.max)
+    ax = np.where(fast, ax, 1.0)
+    m, e = np.frexp(ax)
+    k = np.floor(np.log10(ax)).astype(np.intp)  # a guess, off by at most one
+    P, E = _scaled(m, e, k)
+    for _ in range(2):  # cells still off after this take `format`
+        Q = P + E
+        bad = np.flatnonzero((Q < 1e16) | (Q > 1e17))
+        k[bad] += np.where(Q[bad] < 1e16, -1, 1)
+        P[bad], E[bad] = _scaled(m[bad], e[bad], k[bad])
+    n = P.astype(np.int64) + np.rint(E).astype(np.int64)
+    fast &= (np.abs(E - np.floor(E) - 0.5) > 1e-6) & (n > 10**16) & (n < 10**17)
+    high = (n // 10**8).astype(np.uint32)  # the first 9 digits
+    low = (n % 10**8).astype(np.uint32)
+    cells = slots.take(k - _K_LO, axis=0)
+    cells[:, 6] = high // 10**8 + ord("0")
+    cells[:, 8:39:2] = dig4.take(np.stack(
+        [high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4],
+        axis=1)).view(np.uint8)
+    digits = 17 - np.argmax(cells[:, 38:5:-2] != ord("0"), axis=1)
+    keep = masks.take((2 * layout.take(k - _K_LO) + (x < 0)) * 17 + digits - 1,
+                      axis=0)
+    for i in np.flatnonzero(~fast):
+        text = format(float(x[i]), _DIGITS).encode()
+        cells[i, :len(text)] = np.frombuffer(text, np.uint8)
+        keep[i, :-1] = np.arange(_SLOT - 1) < len(text)
+    return cells, keep
+
+
 def _write_csv(fh, header: list[str], columns: list[np.ndarray]) -> None:
     """The one CSV writer: the header row, then row i of the equal-length
-    float columns.  Whole columns are formatted a bounded chunk of rows at
-    a time, so memory stays flat however long the columns are."""
+    float columns, each number the bytes of format(x, ".17g").  Whole
+    columns are formatted a bounded chunk of rows at a time, so memory
+    stays flat however long the columns are."""
     fh.write(",".join(header) + "\n")
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        cells = [map(format, col[lo:lo + _CHUNK_ROWS].tolist(), repeat(_DIGITS))
-                 for col in columns]
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        block = np.column_stack([col[lo:lo + _CHUNK_ROWS] for col in columns])
+        cells, keep = _g17_cells(block.ravel())
+        cells.reshape(*block.shape, _SLOT)[:, -1, -1] = ord("\n")
+        fh.write(np.compress(keep.ravel(), cells).tobytes().decode("ascii"))
 
 
 def _parse_floats(text: str) -> list[float]:

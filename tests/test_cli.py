@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -78,6 +79,97 @@ class TestEval:
                              "--q", "3", "--x0", "1",
                              "eval", "--what", "logpdf", "--at", "2,0.5,3")
         assert code == 1 and out == "" and "log_pdf" in err
+
+
+def reference_csv(header, columns):
+    """What the CSV writer must print: Python's format(x, ".17g") of every
+    number, comma-separated rows, one per line."""
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    return "".join([",".join(header) + "\n"]
+                   + [",".join(format(v, ".17g") for v in row) + "\n"
+                      for row in rows])
+
+
+def written_csv(header, columns):
+    out = io.StringIO()
+    cli._write_csv(out, header, columns)
+    return out.getvalue()
+
+
+class TestCsvWriter:
+    """`_write_csv` prints the bytes of format(x, ".17g") for every double;
+    the comparisons name the first differing line."""
+
+    @staticmethod
+    def assert_same_text(got, want):
+        for line, (a, b) in enumerate(zip(got.splitlines(), want.splitlines())):
+            assert a == b, f"line {line}: wrote {a!r}, format gives {b!r}"
+        assert got == want
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20201029)
+        bits = rng.integers(0, 2**64, 240_000, dtype=np.uint64)
+        # every 8th pattern a NaN payload, every 8th another a subnormal
+        bits[::8] |= np.uint64(0x7FF0_0000_0000_0001)
+        bits[1::8] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+        x = bits.view(np.float64)
+        assert np.isnan(x).sum() >= 30_000 and (x < 0).sum() >= 100_000
+        self.assert_same_text(written_csv(["v"], [x]), reference_csv(["v"], [x]))
+
+    def test_every_power_of_two(self):
+        x = np.ldexp(1.0, np.arange(-1074, 1024))
+        x = np.concatenate([x, -x])
+        self.assert_same_text(written_csv(["v"], [x]), reference_csv(["v"], [x]))
+
+    def test_exact_decimal_ties(self):
+        # for odd c < 2**53 whose c * 5**j has 18 digits, c / 2**j lies
+        # exactly half-way between two 17-digit decimals
+        rng = np.random.default_rng(7)
+        ties = [1234567890123456.75]
+        for j in range(2, 9):
+            lo, hi = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+            for half in rng.integers(lo // 2, hi // 2, 200).tolist():
+                c = 2 * half + 1
+                assert len(str(c * 5**j)) == 18
+                ties.append(c / 2**j)
+        x = np.array(ties + [-t for t in ties])
+        self.assert_same_text(written_csv(["v"], [x]), reference_csv(["v"], [x]))
+
+    def test_decade_edges_and_special_values(self):
+        tens = 10.0 ** np.arange(-307, 309)
+        x = np.concatenate([
+            [1e-5, 9.999999999999999e-5, 1e-4, 1e16, 9.999999999999999e16,
+             1e17, 0.0, -0.0, np.inf, -np.inf, np.nan],
+            tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+            -tens, np.nextafter(-tens, 0)])
+        want = reference_csv(["v"], [x])
+        assert want.startswith("v\n1.0000000000000001e-05\n9.9999999999999991e-05\n"
+                               "0.0001\n10000000000000000\n99999999999999984\n1e+17\n"
+                               "0\n-0\ninf\n-inf\nnan\n")
+        self.assert_same_text(written_csv(["v"], [x]), want)
+
+    def test_rows_of_mixed_widths(self):
+        rng = np.random.default_rng(3)
+        n = 5000
+        columns = [rng.random(n) * 10.0 ** rng.integers(-320, 309, n),
+                   np.where(rng.random(n) < 0.5, -1.0, 1.0) * rng.random(n),
+                   rng.integers(-3, 3, n).astype(float),
+                   np.full(n, np.nan)]
+        header = ["a", "b", "c", "d"]
+        self.assert_same_text(written_csv(header, columns),
+                              reference_csv(header, columns))
+
+    @pytest.mark.parametrize("n", [cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS,
+                                   cli._CHUNK_ROWS + 1])
+    def test_lengths_around_the_chunk_edge(self, n):
+        rng = np.random.default_rng(n)
+        columns = [np.arange(n, dtype=float), rng.standard_normal(n)]
+        text = written_csv(["i", "z"], columns)
+        assert text.count("\n") == n + 1
+        self.assert_same_text(text, reference_csv(["i", "z"], columns))
+
+    def test_empty_columns_write_the_header_only(self):
+        assert written_csv(["a", "b"], [np.array([]), np.array([])]) == "a,b\n"
 
 
 class TestParamSelection:
@@ -207,6 +299,16 @@ class TestSample:
         assert code == 0
         assert path.read_bytes() == b"value\n"
 
+    def test_one_draw(self, capsys, tmp_path):
+        from ifdist import IFDistribution, named
+        path = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "--dist", "exponential", "--c", "1",
+                         "sample", "--n", "1", "--seed", "1",
+                         "--out", str(path))
+        assert code == 0
+        draw = IFDistribution(named("exponential", c=1.0)).sample(1, 1)
+        assert path.read_text() == reference_csv(["value"], [draw])
+
     def test_byte_identical_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["--dist", "weibull_2p", "--c", "2", "--q", "1.5",
@@ -273,6 +375,18 @@ class TestCurve:
         for a, b in zip(f1, f2):
             assert b == pytest.approx(a, rel=1e-12)
 
+    def test_column_holding_inf(self, capsys):
+        from ifdist import IFDistribution, IFParams
+        code, out, _ = run(capsys, "--b", "-0.5", "curve", "--vary", "q",
+                           "--values", "0.3,2", "--x-range", "0,600,4")
+        assert code == 0
+        xs = np.linspace(0.0, 600.0, 4)
+        columns = [IFDistribution(IFParams(1.0, -0.5, 200.0, q, 0.0)).pdf(xs)
+                   for q in (0.3, 2.0)]
+        assert columns[0][0] == math.inf
+        assert out == reference_csv(["x", "q=0.29999999999999999", "q=2"],
+                                    [xs] + columns)
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "curve", "--vary", "p", "--values", "1",
                            "--x-range", "5,1,10")
@@ -298,6 +412,20 @@ class TestModeGrid:
         assert row_b2[1] == "-1"          # b = -1/q exactly: boundary code
         row_bhalf = lines[4].split(",")
         assert row_bhalf[1] == "-2"       # asymptote code
+
+    def test_code_cells_bytes(self, capsys):
+        from ifdist import IFParams
+        from ifdist.modes import mode_grid
+        code, out, _ = run(capsys, "--p", "inf", "--b", "-1", "--c", "1",
+                           "--q", "1", "--x0", "0", "modegrid",
+                           "--axis1", "b,-2,-0.5", "--axis2", "q,0.5,2",
+                           "--steps", "4,4")
+        assert code == 0
+        grid = mode_grid(IFParams(math.inf, -1.0, 1.0, 1.0, 0.0),
+                         ("b", -2.0, -0.5), ("q", 0.5, 2.0), [4, 4])
+        assert {-1.0, -2.0} <= set(grid.ravel().tolist())
+        assert out == reference_csv(["b\\q", "0.5", "1", "1.5", "2"],
+                                    [np.linspace(-2.0, -0.5, 4), *grid.T])
 
     def test_interior_matches_closed_form(self, capsys):
         code, out, _ = run(capsys, "--p", "0", "--b", "2", "--c", "1",
