@@ -230,6 +230,20 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="tol must be positive"):
             integrate(lambda x: x, 0.0, 1.0, tol)
 
+    @pytest.mark.parametrize("limit, refused", [
+        (True, "whole number"), (math.nan, "whole number"), (2.5, "whole number"),
+        (math.inf, "whole number"), ("10", "whole number"), (None, "whole number"),
+        (-5, "nonnegative"), (0, None), (20000.0, None)])
+    def test_bad_limit(self, limit, refused):
+        # True, nan, 2.5 and -5 used to return the seed mesh's unconverged
+        # answer, and "10" and None to raise TypeError
+        f = lambda x: 1.0 / np.sqrt(x)
+        if refused is None:
+            assert integrate(f, 0.0, 1.0, 1e-12, limit) == integrate(f, 0.0, 1.0, 1e-12, int(limit))
+            return
+        with pytest.raises(DomainError, match=f"limit must be .*{refused}"):
+            integrate(f, 0.0, 1.0, 1e-12, limit)
+
 
 def _rule_one_interval(f, a, b):
     # the refinement as it was first written: f called on one interval's
@@ -310,38 +324,61 @@ DENSITY_POINTS = [
 ]
 
 
+def _moment_integrand(b, q, p, r):
+    # x^r times the density, the integrand of the tight_quadrature benchmark
+    d = IFDistribution(IFParams(p, b, 1.0, q, 0.0))
+
+    def f(ds):
+        return np.where(ds > 0, ds, 0.0) ** r * d.pdf_offset(ds)
+
+    return f
+
+
+# (b, q, p, r): moment cells whose upper decades spend the budget
+BUDGET_CELLS = [(0.5, 0.5, 0.0, 2), (-0.5, 1.0, 1.0, 2), (1.0, 1.0, 1.0, 2), (2.0, 0.5, 1.0, 2)]
+DECADES = [0.0] + [10.0 ** k for k in range(2, 7)]
+
+
 class TestBatchedNodes:
-    """Evaluating many intervals in one integrand call, with one level of
-    look-ahead, gives the bits of one call per interval: value, error,
-    convergence and evaluations."""
+    """Evaluating many intervals in one integrand call, with the halves of
+    each half split and, in a large heap, more intervals from near its top,
+    gives the bits of one call per interval: value, error, convergence and
+    evaluations."""
 
     @pytest.mark.parametrize("pa", DENSITY_POINTS)
     def test_density_over_the_half_line(self, pa):
         f = IFDistribution(pa).pdf_offset
         assert integrate(f, 0.0, math.inf, 1e-12) == integrate_one_interval(f, 0.0, math.inf, 1e-12)
 
-    # (b, q, p, r): moment cells whose upper decades spend the budget
-    @pytest.mark.parametrize("b, q, p, r", [(0.5, 0.5, 0.0, 2), (-0.5, 1.0, 1.0, 2),
-                                            (1.0, 1.0, 1.0, 2), (2.0, 0.5, 1.0, 2)])
+    @pytest.mark.parametrize("b, q, p, r", BUDGET_CELLS)
     def test_moment_decades_to_the_budget(self, b, q, p, r):
-        d = IFDistribution(IFParams(p, b, 1.0, q, 0.0))
+        f = _moment_integrand(b, q, p, r)
+        # at 60 rows the look-ahead serves about two steps per call; 600 rows
+        # take the heap of a spending range past _WIDE_HEAP, where one call
+        # also splits intervals of other subtrees: 2.6-3.0 steps per call
+        # over the whole range, against 1.9-2.1 with one subtree alone
+        for limit, steps_per_call in [(60, 1), (600, 2.5)]:
+            got = []
+            for lo, hi in zip(DECADES[:-1], DECADES[1:]):
+                rec = _Recorded(f)
+                got.append(integrate(rec, lo, hi, 1e-11, limit=limit))
+                steps = (got[-1].evaluations - rec.calls[0].size) // 30
+                if not got[-1].converged:
+                    assert len(rec.calls) - 1 < steps / steps_per_call
+                nodes = np.concatenate(rec.calls)
+                assert np.unique(nodes).size == nodes.size
+            want = [integrate_one_interval(f, lo, hi, 1e-11, limit=limit)
+                    for lo, hi in zip(DECADES[:-1], DECADES[1:])]
+            assert got == want
+            assert not all(res.converged for res in got)
 
-        def f(ds):
-            return np.where(ds > 0, ds, 0.0) ** r * d.pdf_offset(ds)
-
-        edges = [0.0] + [10.0 ** k for k in range(2, 7)]
-        got = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            rec = _Recorded(f)
-            got.append(integrate(rec, lo, hi, 1e-11, limit=60))
-            steps = (got[-1].evaluations - rec.calls[0].size) // 30
-            if not got[-1].converged:
-                # the look-ahead serves about two steps per call
-                assert len(rec.calls) - 1 < steps
-        want = [integrate_one_interval(f, lo, hi, 1e-11, limit=60)
-                for lo, hi in zip(edges[:-1], edges[1:])]
-        assert got == want
-        assert not all(res.converged for res in got)
+    def test_a_budget_cell_to_its_end(self):
+        # the last decade of a tight_quadrature cell spends the whole
+        # default budget of 20,000 rows
+        f = _moment_integrand(*BUDGET_CELLS[0])
+        got = integrate(f, 1e5, 1e6, 1e-11)
+        assert not got.converged and got.evaluations == 15 * 20000
+        assert got == integrate_one_interval(f, 1e5, 1e6, 1e-11)
 
     # the seed mesh's 14 intervals on [0, 1], and the tail probe and 16
     # intervals on [0, inf)
@@ -416,6 +453,38 @@ class TestBatchedNodes:
             integrate(g, 0.0, 1.0, 1e-12)
         with pytest.raises(NumericFailure) as want:
             integrate_one_interval(g, 0.0, 1.0, 1e-12)
+        assert str(new.value) == str(want.value)
+
+    @pytest.mark.parametrize("used", [False, True])
+    def test_nan_on_a_row_of_another_subtree(self, used):
+        # NaN on the nodes of a half of an interval that a wide call split
+        # before its pop: raised, with the reference's message, only where
+        # the refinement pops that interval
+        f = _moment_integrand(*BUDGET_CELLS[0])
+        rec, ref = _Recorded(f), _Recorded(f)
+        integrate(rec, 1e5, 1e6, 1e-11, limit=600)
+        integrate_one_interval(ref, 1e5, 1e6, 1e-11, limit=600)
+        seen = set(np.concatenate(ref.calls).tolist())
+        # a call of more than six rows splits more than one interval, and its
+        # rows 2 and 3 are the halves of the first one beside the popped
+        wide = [row for call in rec.calls[1:] if call.size > 6 * 15
+                for row in call.reshape(-1, 15)[2:4]]
+        if used:
+            nan_at = next(row for row in wide if seen.issuperset(row.tolist()))
+        else:
+            nan_at = next(row for row in wide if seen.isdisjoint(row.tolist()))
+
+        def g(x):
+            return np.where(np.isin(x, nan_at), math.nan, f(x))
+
+        if not used:
+            assert (integrate(g, 1e5, 1e6, 1e-11, limit=600)
+                    == integrate_one_interval(g, 1e5, 1e6, 1e-11, limit=600))
+            return
+        with pytest.raises(NumericFailure) as new:
+            integrate(g, 1e5, 1e6, 1e-11, limit=600)
+        with pytest.raises(NumericFailure) as want:
+            integrate_one_interval(g, 1e5, 1e6, 1e-11, limit=600)
         assert str(new.value) == str(want.value)
 
     @pytest.mark.parametrize("half", [0, 1])
