@@ -261,7 +261,11 @@ def _build_params(ns, base: dict[str, float] | None = None) -> IFParams:
     return IFParams(**values)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on `main`'s first call: argparse
+    takes far longer to build it than to parse a command line, and
+    `parse_args` leaves it as it was (each call fills a fresh namespace)."""
     parser = _Parser(prog="ifdist", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--p", type=float,
@@ -363,10 +367,14 @@ def _cmd_curve(ns) -> int:
         raise _UsageError("--x-range expects LO,HI,N with finite LO < HI and N >= 2")
     if ns.vary != "x0" and rng[0] < base.x0:
         raise _UsageError(f"--x-range must start at or above x0 = {base.x0}")
-    xs = np.linspace(rng[0], rng[1], int(rng[2]))
     values = _parse_floats(ns.values)
     if not values:
         raise _UsageError("--values must name at least one sweep value")
+    # as in `mode_grid`: refused before any array is built
+    if rng[2] * len(values) > modes_mod.MAX_GRID_CELLS:
+        raise _UsageError(f"curve allows at most {modes_mod.MAX_GRID_CELLS} "
+                          "cells (N x number of values)")
+    xs = np.linspace(rng[0], rng[1], int(rng[2]))
     columns = [IFDistribution(replace(base, **{ns.vary: v})).pdf(xs)
                for v in values]
     _write_csv(sys.stdout, ["x"] + [f"{ns.vary}={_fmt(v)}" for v in values],

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,6 +559,11 @@ class TestExitCodes:
          "--x-range expects LO,HI,N with finite LO < HI and N >= 2"),
         ("curve --vary p --values 0,1 --x-range 0,nan,3",
          "--x-range expects LO,HI,N with finite LO < HI and N >= 2"),
+        # numpy raises its own ValueError at this size; the cap comes first
+        ("--b 2 --q 2 curve --vary p --values=1 --x-range 0,1,1e300",
+         "curve allows at most 1000000 cells (N x number of values)"),
+        ("--b 2 --q 2 curve --vary p --values=1 --x-range 0,1,1000001",
+         "curve allows at most 1000000 cells (N x number of values)"),
     ])
     def test_usage_errors_exit_1(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, *argv.format(tmp=tmp_path).split())
@@ -602,3 +611,40 @@ class TestExitCodes:
         assert float(value.split("=")[1]) == pytest.approx(100.50606645257416,
                                                            rel=1e-12)
         assert lines[3] == "variance=non-existent constraint=requires r < bq"
+
+
+class TestOneParserPerProcess:
+    """`main` builds its parser once per process; every later call reads
+    the same parser and must answer as a fresh process does."""
+
+    USAGE_ERROR = ["--dist", "exponential", "--c", "1",
+                   "eval", "--what", "bogus", "--at", "1"]
+    SEQUENCE = [
+        USAGE_ERROR,
+        ["--help"],
+        [],
+        ["--p", "1", "--b", "1", "--c", "0", "--q", "2", "--x0", "0", "summary"],
+        ["--dist", "weibull", "--c", "2", "--q", "1.5", "--x0", "0",
+         "eval", "--what", "cdf", "--at", "0.5,1,3"],
+        ["catalog", "show", "weibull"],
+        ["--dist", "rayleigh", "--c", "1.7", "summary"],
+        USAGE_ERROR,
+    ]
+
+    def test_same_parser_object(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_sequence_matches_fresh_processes(self, capsys, monkeypatch):
+        # argparse wraps --help to the terminal width: pin it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        fresh = {}
+        for argv in map(tuple, self.SEQUENCE):
+            if argv not in fresh:
+                proc = subprocess.run([sys.executable, "-m", "ifdist.cli", *argv],
+                                      env=env, capture_output=True, text=True)
+                fresh[argv] = (proc.returncode, proc.stdout, proc.stderr)
+        for argv in self.SEQUENCE:
+            assert run(capsys, *argv) == fresh[tuple(argv)], argv
+        assert [fresh[tuple(argv)][0] for argv in self.SEQUENCE] == [1, 0, 1, 1, 0, 0, 0, 1]
