@@ -1,7 +1,8 @@
 """Command-line surface: evaluation, summaries, sampling, figure-data
 generation, catalog queries and self-verification.
 
-Exit codes: 0 success, 1 validation problem, 2 numeric failure, 3 I/O error.
+Exit codes: 0 success, 1 validation problem, 2 numeric failure, 3 I/O error
+or out of memory.
 All output is deterministic for fixed flags (including seeds), except the
 `seconds=` field that `check` prints; numbers are printed with 17
 significant digits so files round-trip to the exact doubles.
@@ -559,6 +560,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"ifdist: i/o error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"ifdist: out of memory: {exc}", file=sys.stderr)
         return 3
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

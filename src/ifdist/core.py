@@ -60,6 +60,14 @@ def _ln1m_exp_far(ln_w):
     return np.log1p(-np.exp(ln_w))
 
 
+def _ln1m_exp(ln_w):
+    """ln(1 - e^ln_w) for ln_w <= 0, a float or an array: the near form
+    above -ln 2, the far form at or below it."""
+    if isinstance(ln_w, np.ndarray):
+        return np.where(ln_w > -_LN2, _ln1m_exp_near(ln_w), _ln1m_exp_far(ln_w))
+    return _ln1m_exp_near(ln_w) if ln_w > -_LN2 else _ln1m_exp_far(ln_w)
+
+
 def _all_inside(v: np.ndarray, hi: float) -> bool:
     """Whether every element lies in the open interval (0, hi)."""
     return bool(((v > 0.0) & (v < hi)).all())
@@ -269,12 +277,7 @@ class IFDistribution:
         ln_g = np.logaddexp(self._ln_k, self.b * ln_y)
         if not with_1mw:
             return ln_y, ln_g, None
-        ln_w = -self.q * ln_g - math.log1p(self.p)
-        if isinstance(ln_w, np.ndarray):
-            return ln_y, ln_g, np.where(ln_w > -_LN2, _ln1m_exp_near(ln_w),
-                                        _ln1m_exp_far(ln_w))
-        return ln_y, ln_g, (_ln1m_exp_near(ln_w) if ln_w > -_LN2
-                            else _ln1m_exp_far(ln_w))
+        return ln_y, ln_g, _ln1m_exp(-self.q * ln_g - math.log1p(self.p))
 
     def _ln_density(self, ln_y, g, ln_1mw):
         """ln pdf from the terms; e_p is left out without ln(1 - w)."""
@@ -436,7 +439,7 @@ class IFDistribution:
         bad = ~np.isfinite(out) | (out == 0.0)
         zb = np.asarray(z)[bad]
         with np.errstate(over="ignore", divide="ignore"):
-            ln_w = np.log(zb) if self._inf_p else zb + np.log(-np.expm1(-zb))
+            ln_w = np.log(zb) if self._inf_p else zb + _ln1m_exp_near(-zb)
             out[bad] = np.exp(math.log(c) + ln_scale + expo * ln_w)
         return float(out) if scalar else out
 
@@ -453,7 +456,7 @@ class IFDistribution:
         u = -np.expm1(ln_v / (p + 1.0))          # 1 - y^(1/(p+1))
         low = u == 1.0                           # deep in the lower tail
         z = np.log(u, out=u)                     # in place: no 1e6-element temporary
-        z[low] = np.log1p(-np.exp(ln_v[low] / (p + 1.0)))
+        z[low] = _ln1m_exp_far(ln_v[low] / (p + 1.0))
         z /= -q
         return self._offset_at(z)
 

@@ -282,26 +282,21 @@ _WIDE_SLOTS = 16
 _WIDE_MORE = 3
 
 
-def _split(f, triples: Sequence[tuple[float, float, float]]) -> list:
+def _split(f, triples: Sequence[tuple[float, float, float]]) -> dict:
     """The rule on [a, m] and [m, b] of each (a, m, b) in triples and, in the
     same call of f, on the two halves of each of these that `_split_point`
-    lets split: a (row, ahead) pair per half, in order, where ahead holds
-    the (row, None) pairs of that half's own halves, or None."""
+    lets split: a row per interval, keyed by its (lo, hi), the halves first
+    and then their halves, in order."""
     lo, hi = [], []
     for a, m, b in triples:
         lo += a, m
         hi += m, b
-    mids = list(map(_split_point, lo, hi))
-    qlo, qhi = [], []
-    for c, d, mid in zip(lo, hi, mids):
+    for c, d in list(zip(lo, hi)):
+        mid = _split_point(c, d)
         if mid is not None:
-            qlo += c, mid
-            qhi += mid, d
-    rows = _rule(f, lo + qlo, hi + qhi)
-    quarters = iter(rows[len(lo):])
-    return [(row, None if mid is None
-             else ((next(quarters), None), (next(quarters), None)))
-            for row, mid in zip(rows, mids)]
+            lo += c, mid
+            hi += mid, d
+    return dict(zip(zip(lo, hi), _rule(f, lo, hi)))
 
 
 def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
@@ -313,11 +308,11 @@ def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
     Splitting an interval whose halves are not yet known evaluates, in the
     same call of f, each half's own halves too, and, once the heap is large,
     the halves and quarters of a few more intervals near its top (see
-    _WIDE_HEAP).  Rows evaluated before their interval is popped wait in
-    one dict keyed by the heap tiebreak, so those splits need no call.  The
+    _WIDE_HEAP).  Rows evaluated before their interval is pushed wait in
+    one dict keyed by that interval, so those splits need no call.  The
     look-ahead changes no step: each row is the row `_rule` gives alone."""
     heap = []  # (-err, tiebreak, a, b, value)
-    known = {}  # tiebreak -> the (row, ahead) pairs of its halves, as _split gives them
+    known = {}  # (lo, hi) -> the row of an interval evaluated before its push
     segments = []  # unsplittable leftovers: (value, err)
     stuck_err = 0.0
     live_err = 0.0
@@ -330,9 +325,8 @@ def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
 
     while (heap and stuck_err + live_err > tol and stuck_err <= tol
            and evals < limit * 15):
-        neg_e, t, a, b, v = heappop(heap)
+        neg_e, _, a, b, v = heappop(heap)
         live_err += neg_e  # removes the popped error
-        halves = known.pop(t, None)
         m = _split_point(a, b)
         if m is None or neg_e == -math.inf:
             # halves whose nodes would round onto their ends, or an infinite
@@ -340,31 +334,26 @@ def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
             segments.append((v, -neg_e))
             stuck_err += -neg_e
             continue
-        if halves is None:
-            keys, todo = [], [(a, m, b)]
+        if (a, m) not in known:
+            todo = [(a, m, b)]
             if len(heap) >= _WIDE_HEAP:
-                for neg, s, c, d, _ in heap[:_WIDE_SLOTS]:
-                    if (s not in known and neg != -math.inf
-                            and (mid := _split_point(c, d)) is not None):
-                        keys.append(s)
+                for neg, _, c, d, _ in heap[:_WIDE_SLOTS]:
+                    # the lookup first, as most slots have known halves; the
+                    # split rule gives this midpoint where it allows a split
+                    mid = 0.5 * (c + d)
+                    if (neg != -math.inf and (c, mid) not in known
+                            and _split_point(c, d) is not None):
                         todo.append((c, mid, d))
-                        if len(keys) == _WIDE_MORE:
+                        if len(todo) > _WIDE_MORE:
                             break
-            (row1, ahead1), (row2, ahead2), *more = _split(f, todo)
-            for i, s in enumerate(keys):
-                known[s] = more[2 * i:2 * i + 2]
-        else:
-            (row1, ahead1), (row2, ahead2) = halves
+            known.update(_split(f, todo))
+        row1, row2 = known.pop((a, m)), known.pop((m, b))
         (v1, e1), (v2, e2) = _used(row1, a, m), _used(row2, m, b)
         evals += 30
         counter += 1
         heappush(heap, (-e1, counter, a, m, v1))
-        if ahead1 is not None:
-            known[counter] = ahead1
         counter += 1
         heappush(heap, (-e2, counter, m, b, v2))
-        if ahead2 is not None:
-            known[counter] = ahead2
         live_err += e1 + e2
 
     values = [v for v, _ in segments] + [h[4] for h in heap]

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LN2, IFDistribution, IFParams, Subfamily, _exp, classify
+from .core import (_LN2, IFDistribution, IFParams, Subfamily, _exp,
+                   _ln1m_exp_far, _ln1m_exp_near, classify)
 from .errors import DomainError, NumericFailure
 from .kernels import _EPS, _real, _shown, beta, integrate, ln_gamma
 
@@ -149,7 +150,7 @@ def _unit_moment(params: IFParams, k: int) -> tuple[float, float]:
     def lower(s, lead=False):
         # the integrand in s = ln v, less e^(as) when lead
         with np.errstate(all="ignore"):
-            lh = kb * np.log1p(-np.exp(s)) + p * np.log1p(-np.exp(q * s))
+            lh = kb * _ln1m_exp_far(s) + p * _ln1m_exp_far(q * s)
             if lead:
                 return np.exp(a * s) * np.expm1(lh)
             return np.exp(a * s + lh)
@@ -159,7 +160,7 @@ def _unit_moment(params: IFParams, k: int) -> tuple[float, float]:
         with np.errstate(all="ignore"):
             ln_w = np.log(w)
             lg = ((a - 1.0) * np.log1p(-w) + (bt - 1.0) * ln_w
-                  + p * (np.log(-np.expm1(q * np.log1p(-w))) - ln_w))
+                  + p * (_ln1m_exp_near(q * np.log1p(-w)) - ln_w))
             if lead:
                 ln_lead = ln_qp + (bt - 1.0) * ln_w
                 return np.exp(ln_lead) * np.expm1(lg - ln_lead)

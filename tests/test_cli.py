@@ -335,6 +335,17 @@ class TestSample:
                            "--out", "/nonexistent-dir/s.csv")
         assert code == 3 and "i/o error" in err
 
+    def test_draws_beyond_memory_exit_3(self, capsys, tmp_path):
+        # 10^15 draws ask numpy for 7.11 PiB at once, which it refuses
+        # before any memory is touched
+        path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "--dist", "exponential", "--c", "1",
+                             "sample", "--n", "1000000000000000", "--seed", "1",
+                             "--out", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("ifdist: out of memory: ") and "Traceback" not in err
+        assert not path.exists()
+
     def test_million_exponential_draws_mean(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
         code, _, _ = run(capsys, "--dist", "exponential", "--c", "1",

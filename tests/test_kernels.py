@@ -374,10 +374,15 @@ class TestBatchedNodes:
 
     def test_a_budget_cell_to_its_end(self):
         # the last decade of a tight_quadrature cell spends the whole
-        # default budget of 20,000 rows
+        # default budget of 20,000 rows; the look-ahead's work is pinned
+        # too: the calls of f, and the nodes f sees beyond the 300,000 the
+        # result rests on
         f = _moment_integrand(*BUDGET_CELLS[0])
-        got = integrate(f, 1e5, 1e6, 1e-11)
+        rec = _Recorded(f)
+        got = integrate(rec, 1e5, 1e6, 1e-11)
         assert not got.converged and got.evaluations == 15 * 20000
+        assert len(rec.calls) == 2571
+        assert sum(call.size for call in rec.calls) == 452190
         assert got == integrate_one_interval(f, 1e5, 1e6, 1e-11)
 
     # the seed mesh's 14 intervals on [0, 1], and the tail probe and 16
