@@ -264,20 +264,14 @@ def _split_point(a: float, b: float) -> float | None:
     return m if a < ca - ra and ca + ra < m < cb - rb and cb + rb < b else None
 
 
-# Look-ahead past the popped interval's own subtree.  The budget-spending
-# integrals pop all over the top of a large heap, where the halves and
-# quarters of the popped interval alone served two steps per call of f.  So
-# once the heap holds _WIDE_HEAP intervals, the call that splits the popped
-# interval also splits up to _WIDE_MORE intervals from the first _WIDE_SLOTS
-# slots of the heap array that have no rows yet.  On the seed-1
-# tight_quadrature pass this cut the calls of f from 56,486 to 29,484 while f
-# saw 0.15% more nodes.  Other values gain little there: a gate of 0, 32, 64
-# or 256 intervals made 28,741, 29,212, 29,304 or 29,825 calls (at 0, f saw
-# 1.2% more nodes), and 8 or 32 slots 30,130 or 29,238.  Below the gate the
-# small integrals that converge keep their two steps per call; none of these
-# gates moved their time beyond the 4% spread of timing them in one process
+# Look-ahead past the popped interval's own subtree: the call that splits it
+# also splits up to _WIDE_MORE intervals from the first _WIDE_SLOTS slots of
+# the heap array that have no rows yet, the top of the heap where the next
+# pops mostly fall.  On the seed-1 tight_quadrature pass 16 and 3 make 28,741
+# calls of f; 8 slots made 29,392 and 1 more interval 31,133, while 64 slots
+# or 7 more intervals saved at most 1.3% of the calls for 0.6-1.7% more nodes
+# (6-12% more on the analysis pass) and were no faster, timed in one process
 # on a 2-core Xeon VM.
-_WIDE_HEAP = 128
 _WIDE_SLOTS = 16
 _WIDE_MORE = 3
 
@@ -305,12 +299,11 @@ def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
     them, lies strictly inside its half.  A seed interval narrower than its
     own nodes is still evaluated once, at nodes that round onto its ends.
 
-    Splitting an interval whose halves are not yet known evaluates, in the
-    same call of f, each half's own halves too, and, once the heap is large,
-    the halves and quarters of a few more intervals near its top (see
-    _WIDE_HEAP).  Rows evaluated before their interval is pushed wait in
-    one dict keyed by that interval, so those splits need no call.  The
-    look-ahead changes no step: each row is the row `_rule` gives alone."""
+    Splitting an interval whose halves are not yet known makes the one call
+    of f that `integrate` states.  Rows evaluated before their interval is
+    pushed wait in one dict keyed by that interval, so those splits need no
+    call.  The look-ahead changes no step: each row is the row `_rule` gives
+    alone."""
     heap = []  # (-err, tiebreak, a, b, value)
     known = {}  # (lo, hi) -> the row of an interval evaluated before its push
     segments = []  # unsplittable leftovers: (value, err)
@@ -336,16 +329,15 @@ def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
             continue
         if (a, m) not in known:
             todo = [(a, m, b)]
-            if len(heap) >= _WIDE_HEAP:
-                for neg, _, c, d, _ in heap[:_WIDE_SLOTS]:
-                    # the lookup first, as most slots have known halves; the
-                    # split rule gives this midpoint where it allows a split
-                    mid = 0.5 * (c + d)
-                    if (neg != -math.inf and (c, mid) not in known
-                            and _split_point(c, d) is not None):
-                        todo.append((c, mid, d))
-                        if len(todo) > _WIDE_MORE:
-                            break
+            for neg, _, c, d, _ in heap[:_WIDE_SLOTS]:
+                # the lookup first, as most slots have known halves; the
+                # split rule gives this midpoint where it allows a split
+                mid = 0.5 * (c + d)
+                if (neg != -math.inf and (c, mid) not in known
+                        and _split_point(c, d) is not None):
+                    todo.append((c, mid, d))
+                    if len(todo) > _WIDE_MORE:
+                        break
             known.update(_split(f, todo))
         row1, row2 = known.pop((a, m)), known.pop((m, b))
         (v1, e1), (v2, e2) = _used(row1, a, m), _used(row2, m, b)
@@ -389,23 +381,24 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-8,
 
     f must act elementwise on a 1-d array of nodes, whole 15-node rows of
     them: it is called once on the nodes of the whole seed mesh, then on the
-    nodes of both halves of an interval being split together with each
-    half's own halves, so the next split of either half needs no call.  Once
-    the heap holds 128 intervals, the same call also splits up to three more
-    from near its top (`_adapt`).  On the benchmark's seed-1
-    tight_quadrature pass, 28,814 calls after the seed meshes serve 111,114
-    splits, 3.9 per call, where the halves' own halves alone took 55,816.
-    `evaluations` counts the nodes the result rests on; f sees more, because
-    a look-ahead row goes unused where its interval is never split: on that
-    pass 5,171,700 nodes for 3,474,120 counted, 1.49 times as many.
+    nodes of both halves of an interval being split and of up to three more
+    intervals from near the heap's top, each half with its own halves
+    (`_adapt`), so most later splits need no call.  On the benchmark's
+    seed-1 tight_quadrature pass, 28,071 calls after the seed meshes serve
+    111,114 splits, 4.0 per call, where the halves' own halves alone took
+    55,816.  `evaluations` counts the nodes the result rests on; f sees
+    more, because a look-ahead row goes unused where its interval is never
+    split: on that pass 5,224,170 nodes for 3,474,120 counted, 1.50 times
+    as many.
     """
     tol = _tol(tol)
     if (rows := _whole(limit, "limit")) < 0:
         raise DomainError(f"limit must be nonnegative, got {_shown(limit)}")
     a, b = _real(lo, math.nan), _real(hi, math.nan)
-    if not -math.inf < a < b:
-        raise DomainError(f"integration requires -inf < lo < hi (bounds must "
-                          f"not be NaN), got [{_shown(lo)}, {_shown(hi)}]")
+    if not (-math.inf < a < b and (b == math.inf or b - a < math.inf)):
+        raise DomainError(f"integration requires -inf < lo < hi, with a finite width "
+                          f"hi - lo where hi is finite (bounds must not be NaN), "
+                          f"got [{_shown(lo)}, {_shown(hi)}]")
 
     if math.isinf(b):
         def g(us):
@@ -531,7 +524,8 @@ def maximize_scalar(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float,
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = float(f(d))
-    x = 0.5 * (a + b)
+    # halved before the sum, which can overflow near the top of the doubles
+    x = 0.5 * a + 0.5 * b
     return x, float(f(x))
 
 

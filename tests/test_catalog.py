@@ -216,6 +216,11 @@ class TestResolve:
             assert name in resolve(named(name, **args)), name
 
 
+# the Stoppa mean c m^(1 - 1/q) B(1 - 1/q, m) at m = 1e16, c = 1, q = 2, from
+# mpmath at 50 and 80 digits (they agree to 25)
+STOPPA_MEAN_AT_1E16 = 1.7724538509055160
+
+
 class TestTable1Mean:
     def test_rayleigh(self):
         res = table1_mean("rayleigh", c=2)
@@ -242,6 +247,15 @@ class TestTable1Mean:
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             table1_mean("nope", c=1)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "beta(1/2, 1e16) reads exactly 1.0, so the closed form reads 1e8 with "
+        "abs_error 0.0, and mean() at the same point raises NumericFailure by "
+        "its error bound (ROADMAP item 5)"))
+    def test_stoppa_at_large_m(self):
+        res = table1_mean("stoppa", m=1e16, c=1, q=2)
+        assert res.provenance == "closed-form"
+        assert res.value == pytest.approx(STOPPA_MEAN_AT_1E16, rel=1e-12)
 
     @pytest.mark.parametrize("name, args", [("weibull", {"x0": 0}), ("weibull_2p", {})])
     def test_gamma_beyond_the_doubles_is_a_numeric_failure(self, name, args):

@@ -105,17 +105,24 @@ class TestBeta:
         assert beta(a, b) == beta(float(a), float(b))
 
 
-# B(a, b) at the double a = 2/3 and b = 1e12, from mpmath at 50 and 80
-# digits (they agree to 25)
-BETA_TWO_THIRDS_1E12 = 1.3541179394265524e-08
+# B(a, b) at the doubles a and b, from mpmath: (2/3, 1e12) at 50 and 80
+# digits (they agree to 25), (1/2, 1e15) and (1/2, 1e16) at 50
+BETA_AT_LARGE_ARGUMENTS = [
+    (2.0 / 3.0, 1e12, 1.3541179394265524e-08),
+    (0.5, 1e15, 5.6049912163979294e-08),
+    (0.5, 1e16, 1.7724538509055160e-08),
+]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ln B as a sum of ln Gamma values near 2.7e13 keeps their absolute "
-    "rounding: beta(2/3, 1e12) reads 1.3598841250546692e-08, 4.3e-3 off "
-    "(ROADMAP item 5)"))
-def test_beta_at_a_large_argument():
-    assert beta(2.0 / 3.0, 1e12) == pytest.approx(BETA_TWO_THIRDS_1E12, rel=1e-12)
+    "ln B as a sum of ln Gamma values near b ln b keeps their absolute "
+    "rounding: beta(2/3, 1e12) reads 1.3598841250546692e-08, 4.3e-3 off, "
+    "beta(1/2, 1e15) 2.06e-9, 27 times too small, and beta(1/2, 1e16) "
+    "exactly 1.0 (ROADMAP item 5)"))
+@pytest.mark.parametrize("a, b, want", BETA_AT_LARGE_ARGUMENTS,
+                         ids=["2/3-1e12", "1/2-1e15", "1/2-1e16"])
+def test_beta_at_a_large_argument(a, b, want):
+    assert beta(a, b) == pytest.approx(want, rel=1e-12)
 
 
 class TestIntegrate:
@@ -223,6 +230,22 @@ class TestIntegrate:
 
         with pytest.raises(DomainError, match=re.escape("-inf < lo < hi")):
             integrate(f, -math.inf, hi)
+        assert calls == []
+
+    def test_overflowing_width_is_refused_before_any_call(self):
+        # hi - lo = inf on a finite range gave every node of the seed mesh
+        # an overflowed or NaN value: RuntimeWarnings, then "integrand
+        # returned NaN" from an f that never returns NaN
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.zeros_like(x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="finite width hi - lo"):
+                integrate(f, -1e308, 1e308)
         assert calls == []
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, "1", True])
@@ -341,7 +364,7 @@ DECADES = [0.0] + [10.0 ** k for k in range(2, 7)]
 
 class TestBatchedNodes:
     """Evaluating many intervals in one integrand call, with the halves of
-    each half split and, in a large heap, more intervals from near its top,
+    each half split and more intervals from near the heap's top,
     gives the bits of one call per interval: value, error, convergence and
     evaluations."""
 
@@ -353,18 +376,18 @@ class TestBatchedNodes:
     @pytest.mark.parametrize("b, q, p, r", BUDGET_CELLS)
     def test_moment_decades_to_the_budget(self, b, q, p, r):
         f = _moment_integrand(b, q, p, r)
-        # at 60 rows the look-ahead serves about two steps per call; 600 rows
-        # take the heap of a spending range past _WIDE_HEAP, where one call
-        # also splits intervals of other subtrees: 2.6-3.0 steps per call
-        # over the whole range, against 1.9-2.1 with one subtree alone
-        for limit, steps_per_call in [(60, 1), (600, 2.5)]:
+        # one call also splits intervals of other subtrees, at any heap
+        # size: 3.3-5.8 steps per call over a spending range at 60 or 600
+        # rows, against 1.6-1.9 at 60 rows with the popped interval's
+        # subtree alone
+        for limit in (60, 600):
             got = []
             for lo, hi in zip(DECADES[:-1], DECADES[1:]):
                 rec = _Recorded(f)
                 got.append(integrate(rec, lo, hi, 1e-11, limit=limit))
                 steps = (got[-1].evaluations - rec.calls[0].size) // 30
                 if not got[-1].converged:
-                    assert len(rec.calls) - 1 < steps / steps_per_call
+                    assert len(rec.calls) - 1 < steps / 2.5
                 nodes = np.concatenate(rec.calls)
                 assert np.unique(nodes).size == nodes.size
             want = [integrate_one_interval(f, lo, hi, 1e-11, limit=limit)
@@ -381,8 +404,8 @@ class TestBatchedNodes:
         rec = _Recorded(f)
         got = integrate(rec, 1e5, 1e6, 1e-11)
         assert not got.converged and got.evaluations == 15 * 20000
-        assert len(rec.calls) == 2571
-        assert sum(call.size for call in rec.calls) == 452190
+        assert len(rec.calls) == 2538
+        assert sum(call.size for call in rec.calls) == 452460
         assert got == integrate_one_interval(f, 1e5, 1e6, 1e-11)
 
     # the seed mesh's 14 intervals on [0, 1], and the tail probe and 16
@@ -397,8 +420,12 @@ class TestBatchedNodes:
         sizes = [call.size for call in rec.calls]
         assert sizes[:len(probe) + 1] == probe + [15 * mesh]
         later = sizes[len(probe) + 1:]
-        # each later call: the two halves of a split, and the halves of each
-        assert later and all(size in (30, 60, 90) for size in later)
+        # each later call: whole 30-node pairs of halves, for the popped
+        # interval and up to _WIDE_MORE more, with the halves of each half
+        assert all(size % 30 == 0 and size <= 90 * (1 + kernels._WIDE_MORE)
+                   for size in later)
+        # more than one interval split in a call, even in these small heaps
+        assert max(later) > 90
         assert len(later) <= (res.evaluations - len(probe) - 15 * mesh) // 30
         nodes = np.concatenate(rec.calls)
         assert np.unique(nodes).size == nodes.size
@@ -651,6 +678,14 @@ class TestMaximizeScalar:
         # 2e308 apart overflow them
         with pytest.raises(DomainError, match="bracket requires lo < hi"):
             maximize_scalar(lambda x: -x * x, lo, hi)
+
+    def test_argmax_near_the_top_of_the_doubles(self):
+        # the midpoint of the last bracket as 0.5 * (a + b) overflowed to inf,
+        # an argmax outside [lo, hi]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x, v = maximize_scalar(lambda x: -abs(x - 1.5e308), 1e308, 1.7e308, tol=1e290)
+        assert (x, v) == (1.5e308, 0.0)
 
     def test_stops_where_the_inner_points_collapse(self):
         # tol 1e-12 lies below the spacing of doubles near 1e6 (1.2e-10):
