@@ -25,7 +25,7 @@ from typing import Callable
 from .core import _PARAM_NAMES, IFParams
 from .errors import DomainError, NumericFailure
 from .kernels import _real, _shown, beta, ln_gamma
-from .moments import CLOSED_FORM, MomentResult, mean, moment_exists
+from .moments import CLOSED_FORM, MomentResult, _moment, mean
 
 __all__ = [
     "CatalogEntry",
@@ -436,24 +436,25 @@ def resolve(params: IFParams) -> list[str]:
 
 
 def table1_mean(name: str, **args) -> MomentResult:
-    """The printed mean formula of a named case where the first moment exists
-    at its family point (`moment_exists`, the rule `mean` uses), else the
-    violated existence condition; at an infinite argument (no limit in
-    floating point) the family point's mean."""
+    """The printed mean formula of a named case, through `mean`'s way in and
+    out (`moments._moment`): the violated existence condition where the first
+    moment does not exist at its family point, and NumericFailure where the
+    value leaves the doubles or is not above 0; at an infinite argument (no
+    limit in floating point) the family point's mean."""
     e = entry(name)
     if e.mean_text is None:
         raise DomainError(f"{name} has no tabled mean expression")
     args, pa = _checked(e, args)
     if any(map(math.isinf, args.values())):
         return mean(pa)
-    exists, condition = moment_exists(pa, 1)
-    if not exists:
-        return MomentResult(constraint=condition)
-    try:
-        return MomentResult(value=_evaluate(e.mean_text, args),
-                            provenance=CLOSED_FORM)
-    except OverflowError as exc:  # a Gamma or a power beyond the doubles
-        raise NumericFailure(f"the {name} mean at {args} overflowed: {exc}") from exc
+
+    def body():
+        try:
+            return MomentResult(value=_evaluate(e.mean_text, args), provenance=CLOSED_FORM)
+        except OverflowError as exc:  # a Gamma or a power beyond the doubles
+            raise NumericFailure(f"the {name} mean at {args} overflowed: {exc}") from exc
+
+    return _moment(pa, 1, body)
 
 
 def records() -> list[dict]:

@@ -487,6 +487,8 @@ def _check_moments(tol: float):
             if not closed.exists:
                 continue
             num = moments_mod._numeric_moment(pa, 1)
+            if num is None:
+                raise NumericFailure(f"moment quadrature did not converge for {pa} r=1")
             dev = abs(closed.value - num.value) / (1.0 + abs(closed.value))
             row_worst = dev if _worse(dev, row_worst) else row_worst
             yield dev, f"{name} {args!r}"

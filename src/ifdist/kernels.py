@@ -220,7 +220,7 @@ def _rule(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],
     interval, and None for an interval where f returned NaN."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
-    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    xs = (0.5 * lo + 0.5 * hi)[:, None] + half[:, None] * _NODES
     ys = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
     finite = np.isfinite(ys).all(axis=1)
     # a non-finite value stays out of the products: inf times a zero Gauss
@@ -256,11 +256,13 @@ def _used(row, a: float, b: float) -> tuple[float, float]:
 # The midpoint of [a, b] where the split rule that `_adapt` states allows
 # the split, else None: one rule for its stop test and `_split`'s look-ahead.
 # The nodes `_rule` forms rise with the abscissae, so the outermost two of
-# each half decide whether all lie strictly inside it.
+# each half decide whether all lie strictly inside it.  Every midpoint is
+# 0.5 a + 0.5 b, as `_rule` forms its centres: a + b overflows near the top
+# of the doubles.
 def _split_point(a: float, b: float) -> float | None:
-    m = 0.5 * (a + b)
-    ca, ra = 0.5 * (a + m), 0.5 * (m - a) * _X_OUTER
-    cb, rb = 0.5 * (m + b), 0.5 * (b - m) * _X_OUTER
+    m = 0.5 * a + 0.5 * b
+    ca, ra = 0.5 * a + 0.5 * m, 0.5 * (m - a) * _X_OUTER
+    cb, rb = 0.5 * m + 0.5 * b, 0.5 * (b - m) * _X_OUTER
     return m if a < ca - ra and ca + ra < m < cb - rb and cb + rb < b else None
 
 
@@ -332,7 +334,7 @@ def _adapt(f, breakpoints: Sequence[float], tol: float, limit: int):
             for neg, _, c, d, _ in heap[:_WIDE_SLOTS]:
                 # the lookup first, as most slots have known halves; the
                 # split rule gives this midpoint where it allows a split
-                mid = 0.5 * (c + d)
+                mid = 0.5 * c + 0.5 * d
                 if (neg != -math.inf and (c, mid) not in known
                         and _split_point(c, d) is not None):
                     todo.append((c, mid, d))
@@ -383,13 +385,9 @@ def integrate(f, lo: float, hi: float, tol: float = 1e-8,
     them: it is called once on the nodes of the whole seed mesh, then on the
     nodes of both halves of an interval being split and of up to three more
     intervals from near the heap's top, each half with its own halves
-    (`_adapt`), so most later splits need no call.  On the benchmark's
-    seed-1 tight_quadrature pass, 28,071 calls after the seed meshes serve
-    111,114 splits, 4.0 per call, where the halves' own halves alone took
-    55,816.  `evaluations` counts the nodes the result rests on; f sees
-    more, because a look-ahead row goes unused where its interval is never
-    split: on that pass 5,224,170 nodes for 3,474,120 counted, 1.50 times
-    as many.
+    (`_adapt`), so most later splits need no call.  `evaluations` counts
+    the nodes the result rests on; f sees more, because a look-ahead row
+    goes unused where its interval is never split.
     """
     tol = _tol(tol)
     if (rows := _whole(limit, "limit")) < 0:

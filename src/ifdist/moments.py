@@ -91,7 +91,7 @@ def moment_exists(params: IFParams, r) -> tuple[bool, str]:
     return r < -b * (p + 1.0), "requires r < -b(p+1)"
 
 
-def _x_space_moment(params: IFParams, r: int) -> MomentResult | None:
+def _numeric_moment(params: IFParams, r: int) -> MomentResult | None:
     """E[X^r] by quadrature of x^r times the density within the budget, or
     None where that does not converge or the value is not above its own
     absolute tolerance (a tiny c)."""
@@ -109,20 +109,6 @@ def _x_space_moment(params: IFParams, r: int) -> MomentResult | None:
         return MomentResult(value=res.value, provenance=NUMERIC,
                             abs_error=res.abs_error_estimate)
     return None
-
-
-def _numeric_moment(params: IFParams, r: int) -> MomentResult:
-    """E[X^r] in x-space where that finishes, else, off the subfamilies,
-    from the [0, 1] form through the binomial expansion."""
-    res = _x_space_moment(params, r)
-    if res is not None:
-        return res
-    if classify(params) is not Subfamily.GENERAL:
-        # the subfamilies' closed forms are checked against this quadrature
-        raise NumericFailure(
-            f"moment quadrature did not converge for {params} r={r}")
-    value, err = _binomial(params, r)
-    return MomentResult(value=value, provenance=UNIT_INTERVAL, abs_error=err)
 
 
 def _unit_moment(params: IFParams, k: int) -> tuple[float, float]:
@@ -257,10 +243,11 @@ def _binomial(params: IFParams, r: int) -> tuple[float, float]:
 
 
 def _moment(params: IFParams, r: int, body) -> MomentResult:
-    """The one way in and out of raw_moment, mean and variance: answer
-    non_existent where the r-th moment does not exist, and raise
-    NumericFailure where body()'s value leaves the doubles or is not above
-    its abs_error (every raw moment and variance is positive)."""
+    """The one way in and out of raw_moment, mean, variance and
+    catalog.table1_mean: answer non_existent where the r-th moment does not
+    exist, and raise NumericFailure where body()'s value leaves the doubles
+    or is not above its abs_error (every raw moment and variance is
+    positive)."""
     ok, condition = moment_exists(params, r)
     if not ok:
         return MomentResult(constraint=condition)
@@ -277,10 +264,14 @@ def _moment(params: IFParams, r: int, body) -> MomentResult:
 
 
 def _raw_moment(params: IFParams, r: int) -> MomentResult:
+    provenance = CLOSED_FORM
     if classify(params) is Subfamily.GENERAL:
-        return _numeric_moment(params, r)
+        # x-space where that finishes, else the [0, 1] form
+        if (res := _numeric_moment(params, r)) is not None:
+            return res
+        provenance = UNIT_INTERVAL
     value, err = _binomial(params, r)
-    return MomentResult(value=value, provenance=CLOSED_FORM, abs_error=err)
+    return MomentResult(value=value, provenance=provenance, abs_error=err)
 
 
 def raw_moment(params: IFParams, r) -> MomentResult:
@@ -306,9 +297,9 @@ def _variance(params: IFParams) -> MomentResult:
         e2 += 2.0 * _EPS * (v1 * v1 + abs(val))
         scale, provenance = c * c, CLOSED_FORM
     else:
-        m1 = _x_space_moment(params, 1)
-        m2 = None if m1 is None else _x_space_moment(params, 2)
-        if m1 is None or m2 is None:
+        m1 = _numeric_moment(params, 1)
+        m2 = None if m1 is None else _numeric_moment(params, 2)
+        if m2 is None:
             # c^2 Var(Y) from the [0, 1] form; x0 drops out
             (v1, e1), (v2, e2) = (_standard_moment(params, k) for k in (1, 2))
             scale, provenance = c * c, UNIT_INTERVAL

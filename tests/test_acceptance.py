@@ -124,6 +124,7 @@ def test_criterion_3_mean_table():
             continue
         defined_rows += 1
         num = _numeric_moment(named(name, **args), 1)
+        assert num is not None, f"moment quadrature did not converge for {name} {args} r=1"
         dev = abs(closed.value - num.value) / (1.0 + abs(closed.value))
         if worse(dev, worst):
             worst, where = dev, name

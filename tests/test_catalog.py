@@ -260,8 +260,17 @@ class TestTable1Mean:
     @pytest.mark.parametrize("name, args", [("weibull", {"x0": 0}), ("weibull_2p", {})])
     def test_gamma_beyond_the_doubles_is_a_numeric_failure(self, name, args):
         # the mean Gamma(1001) is finite but beyond the largest double
-        with pytest.raises(NumericFailure, match="overflowed"):
+        with pytest.raises(NumericFailure, match=f"^the {name} mean at .* overflowed: "):
             table1_mean(name, c=1, q=0.001, **args)
+
+    @pytest.mark.parametrize("c, q", [(1e308, 1.0000001), (5e-324, 1e300)])
+    def test_a_value_mean_refuses_is_a_numeric_failure(self, c, q):
+        # c / (q - 1) reads inf at the first point and 0.0 at the second;
+        # table1_mean leaves through mean's exit, which refuses both
+        for fn in (lambda: mean(named("lomax", c=c, q=q)),
+                   lambda: table1_mean("lomax", c=c, q=q)):
+            with pytest.raises(NumericFailure, match=f"^a moment .*{re.escape(repr(q))}"):
+                fn()
 
     @pytest.mark.parametrize("name", ["stoppa", "generalized_lomax"])
     def test_m_inf_is_the_gumbel_ii_mean(self, name):
