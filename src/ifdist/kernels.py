@@ -69,6 +69,13 @@ def _whole(v, what: str) -> int:
     return int(v)
 
 
+def _count(n) -> int:
+    """n as a nonnegative whole number (`_whole`): a count of draws."""
+    if (count := _whole(n, "n")) < 0:
+        raise DomainError(f"n must be nonnegative, got {_shown(n)}")
+    return count
+
+
 def _tol(tol) -> float:
     """The one tolerance rule of the kernels: a positive real number."""
     if not (t := _real(tol, math.nan)) > 0.0:
@@ -561,8 +568,7 @@ class UniformStream:
     def draws(self, n: int) -> np.ndarray:
         """The next n values as an array (advances the stream); n is a
         nonnegative whole number (`_whole`), such as 3 or 1e6."""
-        if (count := _whole(n, "n")) < 0:
-            raise DomainError(f"n must be nonnegative, got {_shown(n)}")
+        count = _count(n)
         idx = np.arange(self._index + 1, self._index + count + 1, dtype=np.uint64)
         self._index += count
         states = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)

@@ -473,9 +473,11 @@ class TestSplitFactorOverflow:
     @pytest.mark.parametrize("params, want", CASES)
     def test_median_and_quantile(self, params, want):
         d = IFDistribution(params)
-        assert d.median() == pytest.approx(want, rel=1e-10)
-        assert d.quantile(0.5) == pytest.approx(want, rel=1e-10)
-        assert d.quantile(np.array([0.5]))[0] == pytest.approx(want, rel=1e-10)
+        # abs=0: approx's default absolute tolerance, 1e-12, would pass any
+        # value of the 2e-64 median
+        assert d.median() == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert d.quantile(0.5) == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert d.quantile(np.array([0.5]))[0] == pytest.approx(want, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("params, want", CASES[:3])
     def test_mode_map_at_the_median_level(self, params, want):
@@ -487,6 +489,39 @@ class TestSplitFactorOverflow:
     def test_sample_has_no_nan(self, params, want):
         xs = IFDistribution(params).sample(1000, 5)
         assert not np.isnan(xs).any() and (xs > params.x0).all()
+
+
+class TestSubnormalFactor:
+    """The quantile offset where its z factor, (e^z - 1)^(1/b), is below the
+    normal doubles and its scale (p+1)^(-1/(bq)) lifts the product into
+    them: a subnormal factor keeps few digits, so the product is formed
+    from logs there."""
+
+    CASES = [  # (params, level)
+        (IFParams(0.3, -0.05, 1.0, 0.05, 0.0), 0.196954),
+        (IFParams(1e6, -0.7, 1.0, 0.05, 0.0), 4.78629e-6),
+        (IFParams(3.0, -0.7, 1.0, 0.05, 0.0), 3.16228e-11),
+    ]
+
+    def test_value(self):
+        # 60-digit mpmath; the product of the linear-space factors read
+        # 1.8669e-278
+        params, v = self.CASES[0]
+        d = IFDistribution(params)
+        for got in (d.quantile_offset(v), d.quantile_offset(np.array([v]))[0]):
+            assert got == pytest.approx(1.0009833393980818e-278, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("params, v", CASES)
+    def test_round_trip(self, params, v):
+        # the surface's round-trip bound: 8 eps (1 + |ln F| + |ln y|) times
+        # the conditioning max(1, F/(y pdf)) of the inverse in log space
+        d = IFDistribution(params)
+        y = d.quantile_offset(v)
+        got = d.cdf_offset(y)
+        eps = float(np.finfo(float).eps)
+        bound = (8 * eps * (1 + abs(math.log(got)) + abs(math.log(y)))
+                 * max(1.0, got / (y * d.pdf_offset(y))))
+        assert abs(got - v) <= bound * v
 
 
 def _mp_reference(params, delta):
