@@ -2,7 +2,8 @@
 generation, catalog queries and self-verification.
 
 Exit codes: 0 success, 1 validation problem, 2 numeric failure, 3 I/O error
-or out of memory.
+(a sample CSV whose least size exceeds the free disk space included, refused
+before its file is opened) or out of memory.
 All output is deterministic for fixed flags (including seeds), except the
 `seconds=` field that `check` prints; numbers are printed with 17
 significant digits so files round-trip to the exact doubles.
@@ -21,8 +22,12 @@ override file values.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
+import shutil
+import stat
 import sys
 import time
 import zlib
@@ -190,15 +195,41 @@ def _g17_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _write_csv(fh, header: list[str], columns: list[np.ndarray]) -> None:
     """The one CSV writer: the header row, then row i of the equal-length
-    float columns, each number the bytes of format(x, ".17g").  Whole
-    columns are formatted a bounded chunk of rows at a time, so memory
-    stays flat however long the columns are."""
+    float columns, each number the bytes of format(x, ".17g")."""
     fh.write(",".join(header) + "\n")
+    _write_rows(fh, columns)
+
+
+def _write_rows(fh, columns: list[np.ndarray]) -> None:
+    """`_write_csv`'s rows.  Whole columns are formatted a bounded chunk of
+    rows at a time, so memory stays flat however long the columns are, and
+    the columns split row-wise over several calls give the same bytes."""
     for lo in range(0, len(columns[0]), _CHUNK_ROWS):
         block = np.column_stack([col[lo:lo + _CHUNK_ROWS] for col in columns])
         cells, keep = _g17_cells(block.ravel())
         cells.reshape(*block.shape, _SLOT)[:, -1, -1] = ord("\n")
         fh.write(np.compress(keep.ravel(), cells).tobytes().decode("ascii"))
+
+
+def _check_room(path: str, need: int) -> None:
+    """Raise OSError(ENOSPC) where need bytes cannot fit in the file at
+    path: the free space of its file system, plus the size of the regular
+    file it replaces.  A device or a pipe (such as /dev/null) takes any
+    size; a path `open` refuses is left for `open` to report."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        return
+    try:
+        room = shutil.disk_usage(os.path.dirname(os.path.realpath(path))).free
+    except OSError:
+        return
+    room += st.st_size if st is not None else 0
+    if need > room:
+        raise OSError(errno.ENOSPC, f"No space left on device: the CSV needs at "
+                      f"least {need} bytes, {room} are free", path)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -354,9 +385,15 @@ def _cmd_summary(ns) -> int:
 
 
 def _cmd_sample(ns) -> int:
-    xs = IFDistribution(_build_params(ns)).sample(ns.n, ns.seed)
+    """Draws go to the file one block at a time: the command holds one
+    block of draws and one chunk of CSV text for any n."""
+    blocks = IFDistribution(_build_params(ns))._draw_blocks(ns.n, ns.seed)
+    header = "value\n"
+    _check_room(ns.out, len(header) + 2 * ns.n)  # at least "d\n" per draw
     with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, ["value"], [xs])
+        fh.write(header)
+        for xs in blocks:
+            _write_rows(fh, [xs])
     return 0
 
 

@@ -481,7 +481,7 @@ class IFDistribution:
             sub = out < _TINY
             out *= c * math.exp(ln_scale)
         except OverflowError:  # math.exp, math.expm1 or a Python float power
-            out, sub = np.full(np.shape(z), math.nan), False
+            out, sub = np.full(np.shape(z), math.nan), np.False_
         if scalar:
             if 0.0 < out < math.inf and not sub:
                 return out
@@ -547,6 +547,16 @@ class IFDistribution:
         return self.x0 + (self._offset_at(_LN2) if self._inf_p else
                           self._level_offset(-math.expm1(-_LN2 / (self.p + 1.0))))
 
+    def _draw_blocks(self, n: int, seed: int):
+        """The n draws of `sample(n, seed)` as consecutive arrays of at most
+        `_BLOCK` draws, in stream order: the one draw loop of the library.
+        The seed and n are checked at the call; each block is drawn when it
+        is read, so a reader holds one block of draws at a time."""
+        stream, count = UniformStream(seed), _count(n)
+        floor = np.nextafter(self.x0, math.inf)
+        return (np.maximum(self._quantile(stream.draws(min(_BLOCK, count - i))), floor)
+                for i in range(0, count, _BLOCK))
+
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n inverse-transform draws, deterministic per seed, in stream order.
 
@@ -557,13 +567,13 @@ class IFDistribution:
         with small |b| q) are represented by the smallest double above x0.
 
         The output is allocated before the first draw (a count beyond memory
-        raises MemoryError at once) and filled one `_BLOCK` of draws at a
-        time; draw i depends only on (seed, i), so the blocks change no bit.
+        raises MemoryError at once) and filled from `_draw_blocks`, one
+        `_BLOCK` of draws at a time; draw i depends only on (seed, i), so
+        the blocks change no bit.  `ifdist sample` writes the same blocks
+        to its file without this output.
         """
-        stream = UniformStream(seed)
+        blocks = self._draw_blocks(n, seed)
         out = np.empty(_count(n))
-        floor = np.nextafter(self.x0, math.inf)
-        for i in range(0, out.size, _BLOCK):
-            us = stream.draws(min(_BLOCK, out.size - i))
-            np.maximum(self._quantile(us), floor, out=out[i:i + _BLOCK])
+        for i, block in zip(range(0, out.size, _BLOCK), blocks):
+            out[i:i + _BLOCK] = block
         return out

@@ -3,13 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ifdist import cli
+from ifdist import IFDistribution, IFParams, cli
 from ifdist.cli import main
+from ifdist.core import _BLOCK
 from ifdist.kernels import QuadratureResult
 
 
@@ -278,7 +281,7 @@ class TestSummary:
         lines = out.splitlines()
         assert lines[0] == "subfamily=IF2"
         assert float(lines[2].split("=")[1].split()[0]) == pytest.approx(
-            math.sqrt(math.pi) / 2.0, rel=1e-14)
+            math.sqrt(math.pi) / 2.0, rel=1e-14, abs=0.0)
         assert lines[4].startswith("mode=interior x=0.70710678118654")
 
     def test_asymptote_case(self, capsys):
@@ -336,15 +339,67 @@ class TestSample:
         assert code == 3 and "i/o error" in err
 
     def test_draws_beyond_memory_exit_3(self, capsys, tmp_path):
-        # 10^15 draws ask numpy for 7.11 PiB at once, which it refuses
-        # before any memory is touched
+        # 10^15 draws need at least 2 PB of CSV, more than any test disk has
+        # free: refused before the file is opened, not after the disk fills
         path = tmp_path / "x.csv"
         code, out, err = run(capsys, "--dist", "exponential", "--c", "1",
                              "sample", "--n", "1000000000000000", "--seed", "1",
                              "--out", str(path))
         assert code == 3 and out == ""
-        assert err.startswith("ifdist: out of memory: ") and "Traceback" not in err
+        assert err.startswith("ifdist: i/o error: [Errno 28] No space left on "
+                              "device: the CSV needs at least 2000000000000006 "
+                              "bytes, ") and "Traceback" not in err
         assert not path.exists()
+
+    @pytest.fixture
+    def no_free_space(self, monkeypatch):
+        monkeypatch.setattr(cli.shutil, "disk_usage",
+                            lambda path: SimpleNamespace(free=0))
+
+    def test_room_counts_the_file_it_replaces(self, capsys, tmp_path, no_free_space):
+        # "value\n" and 5 draws need at least 16 bytes
+        path = tmp_path / "s.csv"
+        argv = ("--dist", "exponential", "--c", "1", "sample", "--n", "5",
+                "--seed", "1", "--out", str(path))
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "the CSV needs at least 16 bytes, 0 are free" in err
+        assert not path.exists()
+        path.write_bytes(b"x" * 15)
+        assert run(capsys, *argv)[0] == 3 and path.read_bytes() == b"x" * 15
+        path.write_bytes(b"x" * 16)
+        assert run(capsys, *argv)[0] == 0
+        assert path.read_text().count("\n") == 6
+
+    def test_devices_take_any_size(self, capsys, no_free_space):
+        code, out, err = run(capsys, "--dist", "exponential", "--c", "1",
+                             "sample", "--n", "5", "--seed", "1", "--out", os.devnull)
+        assert (code, out, err) == (0, "", "")
+
+    @pytest.mark.parametrize("pa", [IFParams(2.5, 1.7, 1.3, 2.2, 0.1),
+                                    IFParams(0.5, -0.05, 1.0, 0.05, 1.0)])
+    def test_streamed_file_is_the_sample_written_whole(self, tmp_path, pa):
+        d, path = IFDistribution(pa), tmp_path / "s.csv"
+        flags = ["--p", repr(pa.p), "--b", repr(pa.b), "--c", repr(pa.c),
+                 "--q", repr(pa.q), "--x0", repr(pa.x0)]
+        for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+            draws = d.sample(n, 11)
+            assert main(flags + ["sample", "--n", str(n), "--seed", "11",
+                                 "--out", str(path)]) == 0
+            assert path.read_text() == written_csv(["value"], [draws])
+        if pa.b < 0:  # most of these draws sit on the floor above x0
+            assert (draws == np.nextafter(pa.x0, math.inf)).mean() > 0.5
+
+    @pytest.mark.parametrize("n", [10 ** 6, 4 * 10 ** 6])
+    def test_memory_is_flat_in_n(self, n):
+        # one block of draws and one chunk of text, not n draws (8 MB per 10^6)
+        tracemalloc.start()
+        try:
+            code = main(["--dist", "exponential", "--c", "1", "sample", "--n",
+                         str(n), "--seed", "1", "--out", os.devnull])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak <= 4 * 10 ** 6
 
     def test_million_exponential_draws_mean(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
@@ -366,7 +421,7 @@ class TestCurve:
         assert lines[0] == "x,p=0,p=1,p=inf"
         assert len(lines) == 5
         # base point (b=1, c=200, q=2): the p=0 column at x=0 is q/c
-        assert float(lines[1].split(",")[1]) == pytest.approx(0.01, rel=1e-15)
+        assert float(lines[1].split(",")[1]) == pytest.approx(0.01, rel=1e-15, abs=0.0)
 
     def test_scale_identity(self, capsys):
         # f_{2c}(2 (x - x0) + x0) = f_c(x) / 2 at x0 = 0

@@ -149,10 +149,10 @@ class TestPExponential:
         assert p_exponential(0.0, 0.5) == 1.0
 
     def test_p_inf_is_exp(self):
-        assert p_exponential(INF, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert p_exponential(INF, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15, abs=0.0)
 
     def test_p_one(self):
-        assert p_exponential(1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+        assert p_exponential(1.0, 1.0) == pytest.approx(0.5, rel=1e-15, abs=0.0)
 
     def test_upper_endpoint(self):
         assert p_exponential(2.0, 3.0) == 0.0
@@ -218,12 +218,12 @@ class TestGBig:
 class TestPdf:
     def test_exponential(self):
         d = IFDistribution(EXPONENTIAL)
-        assert d.pdf(0.0) == pytest.approx(1.0, rel=1e-14)
-        assert d.pdf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert d.pdf(0.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        assert d.pdf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-14, abs=0.0)
 
     def test_pareto_i_at_boundary(self):
         # alpha x0^alpha / x^(alpha+1) with alpha=2, x0=1 gives 2 at x=1
-        assert IFDistribution(PARETO_I).pdf(1.0) == pytest.approx(2.0, rel=1e-14)
+        assert IFDistribution(PARETO_I).pdf(1.0) == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
     def test_fig_base_hand_evaluated(self):
         d = IFDistribution(FIG_BASE)
@@ -250,21 +250,22 @@ class TestPdf:
 
 class TestLogPdf:
     def test_exponential_deep_tail(self):
-        assert IFDistribution(EXPONENTIAL).log_pdf(50.0) == pytest.approx(-50.0, rel=1e-13)
+        assert IFDistribution(EXPONENTIAL).log_pdf(50.0) == pytest.approx(-50.0, rel=1e-13,
+                                                                          abs=0.0)
 
     def test_pareto_i(self):
         assert IFDistribution(PARETO_I).log_pdf(10.0) == pytest.approx(
-            math.log(2e-3), rel=1e-13)
+            math.log(2e-3), rel=1e-13, abs=0.0)
 
     def test_weibull_hand_evaluated(self):
         d = dist(INF, -1.0, 1.0, 3.0, 0.0)
         assert d.log_pdf(0.5) == pytest.approx(math.log(3 * 0.25 * math.exp(-0.125)),
-                                               rel=1e-13)
+                                               rel=1e-13, abs=0.0)
 
     def test_finite_where_pdf_underflows(self):
         d = IFDistribution(EXPONENTIAL)
         assert d.pdf(800.0) == 0.0
-        assert d.log_pdf(800.0) == pytest.approx(-800.0, rel=1e-13)
+        assert d.log_pdf(800.0) == pytest.approx(-800.0, rel=1e-13, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -276,7 +277,7 @@ class TestLogPdf:
 class TestCdfSurvival:
     def test_weibull_half(self):
         d = dist(INF, -1.0, 1.0, 2.0, 0.0)
-        assert d.cdf(math.sqrt(math.log(2.0))) == pytest.approx(0.5, rel=1e-14)
+        assert d.cdf(math.sqrt(math.log(2.0))) == pytest.approx(0.5, rel=1e-14, abs=0.0)
 
     def test_zero_at_x0(self):
         for params in (EXPONENTIAL, PARETO_I, FIG_BASE):
@@ -286,7 +287,7 @@ class TestCdfSurvival:
 
     def test_pareto_i_values(self):
         d = IFDistribution(PARETO_I)
-        assert d.cdf(2.0) == pytest.approx(0.75, rel=1e-14)
+        assert d.cdf(2.0) == pytest.approx(0.75, rel=1e-14, abs=0.0)
         assert d.survival(100.0) == pytest.approx(1e-4, rel=1e-12)
 
     def test_survival_deep_tail_not_zero(self):
@@ -307,14 +308,14 @@ class TestHazard:
     def test_exponential_constant(self):
         d = IFDistribution(EXPONENTIAL)
         assert d.hazard(np.array([0.1, 1.0, 10.0])) == pytest.approx([1.0, 1.0, 1.0],
-                                                                     rel=1e-13)
+                                                                     rel=1e-13, abs=0.0)
 
     def test_weibull(self):
         d = dist(INF, -1.0, 1.0, 2.0, 0.0)
-        assert d.hazard(1.0) == pytest.approx(2.0, rel=1e-13)
+        assert d.hazard(1.0) == pytest.approx(2.0, rel=1e-13, abs=0.0)
 
     def test_pareto_i(self):
-        assert IFDistribution(PARETO_I).hazard(2.0) == pytest.approx(1.0, rel=1e-13)
+        assert IFDistribution(PARETO_I).hazard(2.0) == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
     def test_matches_ratio(self):
         # body points: deep-tail offsets can underflow both pdf and survival,
@@ -358,8 +359,8 @@ class TestHazard:
     ])
     def test_at_infinity(self, p, b, q, want):
         d = dist(p, b, 2.0, q, 0.0)
-        assert d.hazard(INF) == pytest.approx(want, rel=1e-15)
-        assert d.hazard(np.array([3.0, INF]))[1] == pytest.approx(want, rel=1e-15)
+        assert d.hazard(INF) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert d.hazard(np.array([3.0, INF]))[1] == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -368,7 +369,7 @@ class TestHazard:
 
 class TestQuantile:
     def test_pareto_i(self):
-        assert IFDistribution(PARETO_I).quantile(0.75) == pytest.approx(2.0, rel=1e-14)
+        assert IFDistribution(PARETO_I).quantile(0.75) == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
     def test_endpoints(self):
         for params in (PARETO_I, EXPONENTIAL, FIG_BASE):
@@ -378,7 +379,7 @@ class TestQuantile:
 
     def test_weibull_median_level(self):
         d = dist(INF, -1.0, 1.0, 1.0, 0.0)
-        assert d.quantile(0.5) == pytest.approx(math.log(2.0), rel=1e-14)
+        assert d.quantile(0.5) == pytest.approx(math.log(2.0), rel=1e-14, abs=0.0)
 
     def test_strictly_increasing(self):
         ys = np.linspace(1e-9, 1 - 1e-9, 200)
@@ -402,11 +403,11 @@ class TestQuantile:
 
 class TestMedian:
     def test_if1(self):
-        assert dist(0.0, 1.0, 1.0, 1.0, 0.0).median() == pytest.approx(1.0, rel=1e-14)
+        assert dist(0.0, 1.0, 1.0, 1.0, 0.0).median() == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_exponential(self):
         d = IFDistribution(EXPONENTIAL)
-        assert d.median() == pytest.approx(math.log(2.0), rel=1e-14)
+        assert d.median() == pytest.approx(math.log(2.0), rel=1e-14, abs=0.0)
 
     def test_if3_against_bisection_oracle(self):
         d = dist(1.0, 1.0, 1.0, 2.0, 0.0)
@@ -418,7 +419,7 @@ class TestMedian:
     def test_equals_quantile_half(self):
         for params in GRID[::4]:
             d = IFDistribution(params)
-            assert d.median() == pytest.approx(d.quantile(0.5), rel=1e-14)
+            assert d.median() == pytest.approx(d.quantile(0.5), rel=1e-14, abs=0.0)
 
 
 class TestSample:
@@ -489,6 +490,13 @@ class TestSplitFactorOverflow:
     def test_sample_has_no_nan(self, params, want):
         xs = IFDistribution(params).sample(1000, 5)
         assert not np.isnan(xs).any() and (xs > params.x0).all()
+
+    def test_no_levels(self):
+        # (p+1)^(-1/(bq)) = e^5526 overflows math.exp; an empty array raised
+        # AttributeError on the overflow path's mask
+        d = IFDistribution(IFParams(1e6, -0.05, 1e-250, 0.05, 0.0))
+        for fn in (d.quantile_offset, d.quantile):
+            assert fn(np.empty(0)).shape == (0,)
 
 
 class TestSubnormalFactor:
@@ -601,7 +609,7 @@ class TestFarRange:
     def test_references_match_mpmath(self, params, delta, want):
         ref = _mp_reference(params, delta)
         for name, value in want.items():
-            assert float(ref[name]) == pytest.approx(value, rel=1e-15), name
+            assert float(ref[name]) == pytest.approx(value, rel=1e-15, abs=0.0), name
 
     def test_cdf_of_quantile(self):
         d = IFDistribution(IFParams(0.0, 0.01, 1e-3, 0.05, 0.0))
@@ -660,7 +668,7 @@ class TestExtremeParameters:
     @pytest.mark.parametrize("params, delta, want", COEF_CASES)
     def test_coefficient_references_match_mpmath(self, params, delta, want):
         ref = _mp_reference(params, delta)["log_pdf"]
-        assert float(ref) == pytest.approx(want, rel=1e-15)
+        assert float(ref) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("params", [IFParams(3.0, -2.0, 1.0, 1.3, 0.0)]
                              + GRID[::3])
@@ -690,7 +698,7 @@ class TestExtremeParameters:
                                            0.41753005533152676, 4.168562581055472))
         t = mp.mpf(1e-17) ** (1 / (p + 1))
         want = c * (p + 1) ** (-1 / (b * q)) * mp.expm1(-mp.log1p(-t) / q) ** (1 / b)
-        assert float(want) == pytest.approx(1.1814940272845318e-18, rel=1e-15)
+        assert float(want) == pytest.approx(1.1814940272845318e-18, rel=1e-15, abs=0.0)
 
 
 class TestDistributionInvariants:

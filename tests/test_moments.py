@@ -558,7 +558,7 @@ class TestUnitIntervalForm:
     @pytest.mark.parametrize("p, b, q, k, want", UNIT_CASES)
     def test_references_match_mpmath(self, p, b, q, k, want):
         assert float(_mp_standard_moment(p, b, q, k)) == pytest.approx(
-            want, rel=1e-15)
+            want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("pa", SEED1)
     def test_budget_misses_answered(self, pa):
@@ -609,7 +609,7 @@ class TestUnitIntervalForm:
     def test_p_zero_closed_form(self, b, q, k):
         # the General path at p = 0: q B(q - k/b, 1 + k/b)
         got, _ = _standard_moment(IFParams(1e-300, b, 1.0, q, 0.0), k)
-        assert got == pytest.approx(q * beta(q - k / b, 1.0 + k / b), rel=1e-13)
+        assert got == pytest.approx(q * beta(q - k / b, 1.0 + k / b), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("p, q, k", [(0.5, 2.0, 1), (3.0, 1.5, 1),
                                          (0.3, 3.0, 2), (2.0, 2.02, 2)])
@@ -617,7 +617,7 @@ class TestUnitIntervalForm:
         near = IFParams(p, 1.0 + 2.0 ** -52, 1.0, q, 0.0)
         got, _ = _standard_moment(near, k)
         want, _ = _standard_moment(IFParams(p, 1.0, 1.0, q, 0.0), k)
-        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_converging_calls_stay_numeric(self):
         assert mean(IFParams(2.0, 2.0, 1.0, 3.0, 0.0)).provenance == NUMERIC
